@@ -52,6 +52,10 @@ class StageConfig:
             raise ConfigError("teacher-prep takes no pruning section")
         if self.seq_len > self.model.max_seq:
             raise ConfigError("seq_len exceeds model max_seq")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.log_every < 1:
+            raise ConfigError(f"log_every must be >= 1, got {self.log_every}")
 
     def lr_schedule(self) -> LrSchedule:
         rewind = None

@@ -158,8 +158,13 @@ def make_task_dataset(seed: int, num_examples: int, num_labels: int,
     )
 
 
-def task_minibatch(dataset: TaskDataset, seed: int, batch: int) -> TaskBatch:
+def task_minibatch_indices(dataset: TaskDataset, seed: int, batch: int) -> np.ndarray:
+    """Train-split rows that `task_minibatch` draws for this seed, in order."""
     rng = _rng("task-batch", seed)
-    idx = rng.integers(0, dataset.train.input_ids.shape[0], size=batch)
+    return rng.integers(0, dataset.train.input_ids.shape[0], size=batch)
+
+
+def task_minibatch(dataset: TaskDataset, seed: int, batch: int) -> TaskBatch:
+    idx = task_minibatch_indices(dataset, seed, batch)
     t = dataset.train
     return TaskBatch(t.input_ids[idx], t.labels[idx], t.attention_mask[idx])

@@ -182,15 +182,19 @@ class EncoderModel:
         loss = T.cross_entropy_with_targets(flat, batch.labels.reshape(-1))
         return ForwardResult(logits, loss, degenerate=loss.degenerate)
 
-    def forward_classify(self, batch, quant=None) -> ForwardResult:
+    def classify_logits(self, cls: Tensor, quant=None) -> Tensor:
+        """Pooler (when present) and classification head over CLS states
+        of shape (batch, hidden)."""
         if self.config.head_kind not in ("classify", "both"):
             raise ConfigError("model has no classification head")
-        hidden = self.encode(batch.input_ids, batch.attention_mask, quant)
-        cls = T.take_rows(hidden, 0, axis=1)
         if self.config.has_pooler:
             cls = T.gelu(self._linear(cls, "pooler", quant))
-        logits = T.add(T.matmul(cls, self.parameters["classify_head.weight"]),
-                       self.parameters["classify_head.bias"])
+        return T.add(T.matmul(cls, self.parameters["classify_head.weight"]),
+                     self.parameters["classify_head.bias"])
+
+    def forward_classify(self, batch, quant=None) -> ForwardResult:
+        hidden = self.encode(batch.input_ids, batch.attention_mask, quant)
+        logits = self.classify_logits(T.take_rows(hidden, 0, axis=1), quant)
         loss = T.cross_entropy_with_targets(logits, batch.labels)
         return ForwardResult(logits, loss, degenerate=loss.degenerate)
 

@@ -15,9 +15,10 @@ from .checkpoint import (Checkpoint, checkpoint_from_model, load_checkpoint,
                          model_from_checkpoint, save_checkpoint)
 from .config import StageConfig
 from .data import (Corpus, MlmBatch, TaskDataset, build_synthetic_corpus,
-                   make_mlm_batch, make_task_dataset, task_minibatch)
+                   make_mlm_batch, make_task_dataset, task_minibatch,
+                   task_minibatch_indices)
 from .distill import combined_loss, kd_loss
-from .model import ConfigError, EncoderModel, build_model
+from .model import ConfigError, EncoderModel, ForwardResult, build_model
 from .optim import Adam
 from .pruning import (MaskSet, lock_pattern, prune_step, sparsity_report,
                       target_sparsity)
@@ -25,6 +26,10 @@ from .quant import QatContext, weight_qparams
 from .schedule import lr_base, lr_rewound
 
 METRICS_HEADER = "step,lr,target_sparsity,actual_sparsity,loss_pt,loss_kd,loss_total"
+
+# Train-split rows per teacher encode when a task teacher's cache is built;
+# bounds the size of one forward's activations.
+TEACHER_CHUNK_ROWS = 64
 
 
 @dataclass
@@ -74,11 +79,56 @@ def _mlm_kd_step(student: EncoderModel, teacher: Optional[EncoderModel],
     fw = student.forward_mlm(batch)
     if teacher is None:
         return fw.loss, float(fw.loss.values), 0.0
-    t_logits = teacher.forward_mlm(batch).logits
+    with T.no_grad():
+        t_logits = teacher.forward_mlm(batch).logits
     weights = (batch.labels.reshape(-1) != -1).astype(np.float32)
-    l_kd = kd_loss(fw.logits, T.Tensor(t_logits.values), distill.temperature, row_weights=weights)
+    l_kd = kd_loss(fw.logits, t_logits, distill.temperature, row_weights=weights)
     loss = combined_loss(fw.loss, l_kd, distill)
     return loss, float(fw.loss.values), float(l_kd.values)
+
+
+class _TaskTeacher:
+    """The frozen task teacher of one stage, with its CLS states cached.
+
+    The encoder runs once over the train split, tape-free and in chunks of
+    TEACHER_CHUNK_ROWS rows, and keeps only each row's CLS hidden state.
+    Each step then runs just the pooler and head on the rows the minibatch
+    drew.
+
+    The cache stops at the CLS state because that is the last point where a
+    row's value does not depend on its batch-mates. numpy's stacked matmul
+    runs one gemm per sample, and every layer norm and softmax reduces along
+    the last axis, so a row encodes to the same bytes in a chunk as in its
+    minibatch. The pooler and head are 2-D gemms over the whole minibatch,
+    whose rounding depends on a row's position in the tile; cached logits
+    would not match a per-step forward byte for byte.
+    """
+
+    def __init__(self, ckpt: Checkpoint, task: TaskDataset):
+        self.model = model_from_checkpoint(ckpt, head_kind="classify",
+                                           num_labels=task.num_labels)
+        ids, mask = task.train.input_ids, task.train.attention_mask
+        with T.no_grad():
+            self.cls = np.concatenate([
+                self.model.encode(ids[i:i + TEACHER_CHUNK_ROWS],
+                                  mask[i:i + TEACHER_CHUNK_ROWS]).values[:, 0]
+                for i in range(0, ids.shape[0], TEACHER_CHUNK_ROWS)])
+
+    def logits(self, rows: np.ndarray) -> T.Tensor:
+        with T.no_grad():
+            return self.model.classify_logits(T.Tensor(self.cls[rows]))
+
+
+def _task_kd_step(fw: ForwardResult, teacher: Optional[_TaskTeacher], task: TaskDataset,
+                  batch_seed: int, cfg: StageConfig) -> Tuple[T.Tensor, float, float]:
+    """Step loss of a task stage; returns (loss, l_pt, l_kd). With a teacher
+    the loss is the soft teacher loss alone, over the rows that
+    task_minibatch drew for `batch_seed`."""
+    if teacher is None:
+        return fw.loss, float(fw.loss.values), 0.0
+    t_logits = teacher.logits(task_minibatch_indices(task, batch_seed, cfg.batch_size))
+    loss = kd_loss(fw.logits, t_logits, cfg.distill.temperature)
+    return loss, float(fw.loss.values), float(loss.values)
 
 
 def _eval_mlm(model: EncoderModel, corpus: Corpus, cfg: StageConfig) -> float:
@@ -171,24 +221,16 @@ def run_transfer(cfg: StageConfig, start_ckpt: Checkpoint,
     model = model_from_checkpoint(start_ckpt, head_kind="classify",
                                   num_labels=task.num_labels, seed=cfg.seed)
     masks = lock_pattern(model)
-    teacher = None
-    if cfg.kd_enabled:
-        teacher = model_from_checkpoint(teacher_ckpt, head_kind="classify",
-                                        num_labels=task.num_labels)
+    teacher = _TaskTeacher(teacher_ckpt, task) if cfg.kd_enabled else None
     sched = cfg.lr_schedule()
     opt = Adam(model.parameters, weight_decay=cfg.weight_decay)
     metrics = RunMetrics()
     for t in range(cfg.steps):
         lr = lr_base(sched, t)
-        batch = task_minibatch(task, _batch_seed(cfg.seed, t), cfg.batch_size)
+        batch_seed = _batch_seed(cfg.seed, t)
+        batch = task_minibatch(task, batch_seed, cfg.batch_size)
         fw = model.forward_classify(batch)
-        if teacher is not None:
-            t_logits = teacher.forward_classify(batch).logits
-            loss = kd_loss(fw.logits, T.Tensor(t_logits.values), cfg.distill.temperature)
-            l_pt, l_kd = float(fw.loss.values), float(loss.values)
-        else:
-            loss = fw.loss
-            l_pt, l_kd = float(loss.values), 0.0
+        loss, l_pt, l_kd = _task_kd_step(fw, teacher, task, batch_seed, cfg)
         opt.zero_grad()
         T.backward(loss)
         opt.step(lr, masks)
@@ -220,22 +262,16 @@ def run_qat(cfg: StageConfig, finetuned_ckpt: Checkpoint,
     qat = QatContext(model.prunable_parameters())
     teacher = None
     if cfg.kd_enabled and teacher_ckpt is not None:
-        teacher = model_from_checkpoint(teacher_ckpt, head_kind="classify",
-                                        num_labels=task.num_labels)
+        teacher = _TaskTeacher(teacher_ckpt, task)
     sched = cfg.lr_schedule()
     opt = Adam(model.parameters, weight_decay=cfg.weight_decay)
     metrics = RunMetrics()
     for t in range(cfg.steps):
         lr = lr_base(sched, t)
-        batch = task_minibatch(task, _batch_seed(cfg.seed, t), cfg.batch_size)
+        batch_seed = _batch_seed(cfg.seed, t)
+        batch = task_minibatch(task, batch_seed, cfg.batch_size)
         fw = model.forward_classify(batch, quant=qat)
-        if teacher is not None:
-            t_logits = teacher.forward_classify(batch).logits
-            loss = kd_loss(fw.logits, T.Tensor(t_logits.values), cfg.distill.temperature)
-            l_pt, l_kd = float(fw.loss.values), float(loss.values)
-        else:
-            loss = fw.loss
-            l_pt, l_kd = float(loss.values), 0.0
+        loss, l_pt, l_kd = _task_kd_step(fw, teacher, task, batch_seed, cfg)
         opt.zero_grad()
         T.backward(loss)
         opt.step(lr, masks)
@@ -265,12 +301,9 @@ def run_finetune_prune_baseline(cfg: StageConfig, dense_ckpt: Checkpoint,
     task = task or _make_task(cfg)
     model = model_from_checkpoint(dense_ckpt, head_kind="classify",
                                   num_labels=task.num_labels, seed=cfg.seed)
-    teacher = None
-    if cfg.kd_enabled:
-        if teacher_ckpt is None:
-            raise ConfigError("baseline with distillation needs a task teacher checkpoint")
-        teacher = model_from_checkpoint(teacher_ckpt, head_kind="classify",
-                                        num_labels=task.num_labels)
+    if cfg.kd_enabled and teacher_ckpt is None:
+        raise ConfigError("baseline with distillation needs a task teacher checkpoint")
+    teacher = _TaskTeacher(teacher_ckpt, task) if cfg.kd_enabled else None
     sp = cfg.pruning
     sched = cfg.lr_schedule()
     opt = Adam(model.parameters, weight_decay=cfg.weight_decay)
@@ -280,15 +313,10 @@ def run_finetune_prune_baseline(cfg: StageConfig, dense_ckpt: Checkpoint,
         lr = lr_rewound(sched, t)
         if sp.start_step <= t <= sp.end_step and (t - sp.start_step) % sp.interval == 0:
             masks = prune_step(model, masks, target_sparsity(sp, t))
-        batch = task_minibatch(task, _batch_seed(cfg.seed, t), cfg.batch_size)
+        batch_seed = _batch_seed(cfg.seed, t)
+        batch = task_minibatch(task, batch_seed, cfg.batch_size)
         fw = model.forward_classify(batch)
-        if teacher is not None:
-            t_logits = teacher.forward_classify(batch).logits
-            loss = kd_loss(fw.logits, T.Tensor(t_logits.values), cfg.distill.temperature)
-            l_pt, l_kd = float(fw.loss.values), float(loss.values)
-        else:
-            loss = fw.loss
-            l_pt, l_kd = float(loss.values), 0.0
+        loss, l_pt, l_kd = _task_kd_step(fw, teacher, task, batch_seed, cfg)
         opt.zero_grad()
         T.backward(loss)
         opt.step(lr, masks if t >= sp.end_step else None)

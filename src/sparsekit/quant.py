@@ -1,7 +1,7 @@
 """8-bit fake quantization: symmetric weights, asymmetric activations, STE."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np

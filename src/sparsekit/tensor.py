@@ -6,6 +6,7 @@ finite-difference gradient oracle stays honest.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable, Optional, Sequence
 
@@ -98,7 +99,26 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return grad.reshape(shape)
 
 
+_taping = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no autodiff tape inside the block: every primitive returns a
+    plain leaf, so a frozen model's forward keeps no intermediates alive.
+    Values are the same as with taping on. The switch is per process, not
+    per thread."""
+    global _taping
+    outer, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = outer
+
+
 def _node(values, parents, backward_fn) -> Tensor:
+    if not _taping:
+        return Tensor(values)
     return Tensor(values, parents=parents, backward_fn=backward_fn)
 
 
@@ -197,15 +217,12 @@ def layer_norm_last_axis(a: Tensor, eps: float = 1e-5) -> Tensor:
     var = x.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x - mu) * inv
-    d = x.shape[-1]
 
     def back(g):
         gm = g.mean(axis=-1, keepdims=True)
         gxh = (g * xhat).mean(axis=-1, keepdims=True)
         return (inv * (g - gm - xhat * gxh),)
 
-    # keep derived arrays referenced for the closure
-    del d
     return _node(xhat, (a,), back)
 
 

@@ -128,3 +128,14 @@ def test_grid_command(workdir, capsys, tmp_path):
     assert out.startswith("lr,weight_decay,mean_val_accuracy")
     assert out.count("\n") == 6  # header + 4 grid rows + best line
     assert "best:" in out
+
+
+@pytest.mark.parametrize("key", ["batch_size", "log_every"])
+def test_out_of_range_run_value_is_one_line_error(key, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[run]\nstage = teacher-prep\nsteps = 2\n{key} = 0\n")
+    rc = main(["teacher-prep", "--config", str(cfg), "--out", str(tmp_path / "x.ckpt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {key} must be >= 1, got 0\n"
+    assert not (tmp_path / "x.ckpt").exists()

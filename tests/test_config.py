@@ -139,3 +139,12 @@ def test_load_config_file(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text(CONFIG_TEXT)
     assert load_config(p).stage == "student-prune"
+
+
+@pytest.mark.parametrize("key", ["batch_size", "log_every"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_out_of_range_run_values_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"{key} must be >= 1"):
+        default_config("teacher-prep", **{key: value})
+    with pytest.raises(ConfigError, match=f"{key} must be >= 1"):
+        parse_config_text(f"[run]\nstage = teacher-prep\n{key} = {value}\n")

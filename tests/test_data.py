@@ -3,7 +3,8 @@ import pytest
 
 from sparsekit.data import (CLS, IGNORE_LABEL, MASK, NUM_RESERVED, PAD, SEP,
                             build_synthetic_corpus, make_mlm_batch,
-                            make_task_dataset, task_minibatch)
+                            make_task_dataset, task_minibatch,
+                            task_minibatch_indices)
 from sparsekit.tensor import ContractError
 
 
@@ -131,3 +132,15 @@ def test_task_minibatch():
     np.testing.assert_array_equal(a.input_ids, b.input_ids)
     np.testing.assert_array_equal(a.labels, b.labels)
     assert a.input_ids.shape == (8, 10)
+
+
+def test_task_minibatch_rows_unchanged():
+    # pinned: a changed sampler stream would change every seeded task stage
+    d = make_task_dataset(7, 1000, 3)
+    want = [695, 754, 902, 47, 54, 497, 328, 451, 556, 543, 812, 194, 152, 293, 869, 917]
+    seed = 1_000_003 * 4 + 17
+    np.testing.assert_array_equal(task_minibatch_indices(d, seed, 16), want)
+    b = task_minibatch(d, seed, 16)
+    np.testing.assert_array_equal(b.input_ids, d.train.input_ids[want])
+    np.testing.assert_array_equal(b.labels, d.train.labels[want])
+    np.testing.assert_array_equal(b.attention_mask, d.train.attention_mask[want])

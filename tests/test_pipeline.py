@@ -1,12 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sparsekit.checkpoint import Q8, SPARSE, serialize
+from sparsekit import tensor as T
+from sparsekit.checkpoint import (Q8, SPARSE, checkpoint_from_model,
+                                  model_from_checkpoint, serialize)
 from sparsekit.config import default_config
-from sparsekit.model import ConfigError, prunable_parameter_names
-from sparsekit.pipeline import (METRICS_HEADER, run_finetune_prune_baseline,
-                                run_student_prune, run_teacher_prep,
-                                run_transfer)
+from sparsekit.data import (build_synthetic_corpus, make_mlm_batch, task_minibatch,
+                            task_minibatch_indices)
+from sparsekit.distill import kd_loss
+from sparsekit.model import ConfigError, build_model, prunable_parameter_names
+from sparsekit.pipeline import (METRICS_HEADER, _batch_seed, _make_task, _TaskTeacher,
+                                run_finetune_prune_baseline, run_student_prune,
+                                run_teacher_prep, run_transfer)
 from sparsekit.pruning import SparsitySchedule, target_sparsity
 
 
@@ -129,3 +136,47 @@ def test_stage_determinism():
     b_ckpt, b_metrics = run_teacher_prep(cfg)
     assert serialize(a_ckpt) == serialize(b_ckpt)
     assert a_metrics.to_csv_text() == b_metrics.to_csv_text()
+
+
+def test_no_grad_teacher_gets_no_gradient():
+    cfg = default_config("teacher-prep")
+    corpus = build_synthetic_corpus(1, 20, vocab_size=cfg.model.vocab)
+    batch = make_mlm_batch(corpus, 0, 4, cfg.seq_len)
+    student, teacher = build_model(cfg.model, 0), build_model(cfg.model, 1)
+    with T.no_grad():
+        t_logits = teacher.forward_mlm(batch).logits
+    s_logits = student.forward_mlm(batch).logits
+    # the product reaches the teacher output through taped primitives, so
+    # only no_grad keeps gradient out of the teacher's parameters
+    T.backward(T.add(kd_loss(s_logits, t_logits, 2.0), T.mean(T.mul(s_logits, t_logits))))
+    assert all(p.grad is None for p in teacher.parameters.values())
+    assert student.parameters["layer.0.q.weight"].grad is not None
+
+
+def _assert_cached_teacher_matches_forward(cfg, teacher_ckpt):
+    """At every step of the schedule, the cached teacher's logits equal a
+    full teacher forward on the step's minibatch, byte for byte."""
+    task = _make_task(cfg)
+    cached = _TaskTeacher(teacher_ckpt, task)
+    teacher = model_from_checkpoint(teacher_ckpt, head_kind="classify",
+                                    num_labels=task.num_labels)
+    for t in range(cfg.steps):
+        seed = _batch_seed(cfg.seed, t)
+        want = teacher.forward_classify(task_minibatch(task, seed, cfg.batch_size)).logits.values
+        got = cached.logits(task_minibatch_indices(task, seed, cfg.batch_size)).values
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), f"step {t}"
+
+
+def test_cached_teacher_logits_match_forward_default_transfer(task_teacher_ckpt):
+    _assert_cached_teacher_matches_forward(default_config("transfer", seed=4),
+                                           task_teacher_ckpt)
+
+
+def test_cached_teacher_logits_match_forward_other_shape():
+    # row independence of the encoder must also hold at another width and
+    # head count, without a pooler, on whatever BLAS numpy links
+    base = default_config("transfer", seed=5)
+    model_cfg = replace(base.model, hidden=64, heads=8, ffn_dim=128, has_pooler=False)
+    cfg = replace(base, model=model_cfg, seq_len=12)
+    teacher = checkpoint_from_model(build_model(model_cfg, seed=11), "transfer")
+    _assert_cached_teacher_matches_forward(cfg, teacher)

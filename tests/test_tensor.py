@@ -171,3 +171,27 @@ def test_cross_entropy_degenerate_all_ignored():
     assert loss.degenerate
     backward(loss)
     np.testing.assert_array_equal(logits.grad, np.zeros((2, 3)))
+
+
+def test_no_grad_results_are_plain_leaves():
+    w = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    with T.no_grad():
+        out = T.gelu(T.mul(w, w))
+        loss = T.mean(out)
+    for t in (out, loss):
+        assert t.parents == () and t._backward is None
+    np.testing.assert_array_equal(out.values, T.gelu(T.mul(w, w)).values)
+
+
+def test_no_grad_restores_taping_after_block_error_and_nesting():
+    w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with T.no_grad():
+            raise RuntimeError("inside")
+    assert T.mul(w, w).parents == (w, w)
+    with T.no_grad():
+        with T.no_grad():
+            pass
+        assert T.mul(w, w).parents == ()  # inner exit keeps the outer block tape-free
+    backward(T.mean(T.mul(w, w)))
+    np.testing.assert_allclose(w.grad, [1.0, 2.0])

@@ -48,10 +48,12 @@ class StageConfig:
             raise ConfigError(f"unknown stage {self.stage!r}")
         if self.stage in ("student-prune", "finetune-prune-baseline") and self.pruning is None:
             raise ConfigError(f"stage {self.stage} requires a pruning section")
-        if self.stage == "teacher-prep" and self.pruning is not None:
-            raise ConfigError("teacher-prep takes no pruning section")
+        if self.stage in ("teacher-prep", "transfer", "qat") and self.pruning is not None:
+            raise ConfigError(f"{self.stage} takes no pruning section")
         if self.seq_len > self.model.max_seq:
             raise ConfigError("seq_len exceeds model max_seq")
+        if self.steps < 1:
+            raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.log_every < 1:

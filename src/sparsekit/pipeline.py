@@ -6,30 +6,32 @@ function of (config, input checkpoints) given the seeds it carries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import (Checkpoint, checkpoint_from_model, load_checkpoint,
-                         model_from_checkpoint, save_checkpoint)
+from .checkpoint import Checkpoint, checkpoint_from_model, model_from_checkpoint
 from .config import StageConfig
-from .data import (Corpus, MlmBatch, TaskDataset, build_synthetic_corpus,
-                   make_mlm_batch, make_task_dataset, task_minibatch,
-                   task_minibatch_indices)
+from .data import (MlmBatch, TaskDataset, build_synthetic_corpus, make_mlm_batch,
+                   make_task_dataset, task_minibatch, task_minibatch_indices)
 from .distill import combined_loss, kd_loss
-from .model import ConfigError, EncoderModel, ForwardResult, build_model
+from .model import (ConfigError, EncoderModel, ForwardResult, build_model,
+                    prunable_parameter_names)
 from .optim import Adam
 from .pruning import (MaskSet, lock_pattern, prune_step, sparsity_report,
                       target_sparsity)
 from .quant import QatContext, weight_qparams
-from .schedule import lr_base, lr_rewound
+from .schedule import lr_rewound
 
 METRICS_HEADER = "step,lr,target_sparsity,actual_sparsity,loss_pt,loss_kd,loss_total"
 
 # Train-split rows per teacher encode when a task teacher's cache is built;
 # bounds the size of one forward's activations.
 TEACHER_CHUNK_ROWS = 64
+
+# One step's (loss, l_pt, l_kd): the loss to backpropagate and the two terms logged.
+StepLoss = Tuple[T.Tensor, float, float]
 
 
 @dataclass
@@ -55,11 +57,6 @@ def _batch_seed(seed: int, step: int) -> int:
     return seed * 1_000_003 + step
 
 
-def _make_corpus(cfg: StageConfig) -> Corpus:
-    return build_synthetic_corpus(cfg.data.corpus_seed, cfg.data.num_sequences,
-                                  vocab_size=cfg.model.vocab, seq_len=max(cfg.seq_len, 8))
-
-
 def _make_task(cfg: StageConfig) -> TaskDataset:
     return make_task_dataset(cfg.data.corpus_seed, cfg.data.num_examples,
                              cfg.data.num_labels, vocab_size=cfg.model.vocab,
@@ -74,7 +71,7 @@ def _check_same_encoder(a, b):
 
 
 def _mlm_kd_step(student: EncoderModel, teacher: Optional[EncoderModel],
-                 batch: MlmBatch, distill) -> Tuple[T.Tensor, float, float]:
+                 batch: MlmBatch, distill) -> StepLoss:
     """Combined loss on masked positions; returns (loss, l_pt, l_kd)."""
     fw = student.forward_mlm(batch)
     if teacher is None:
@@ -120,7 +117,7 @@ class _TaskTeacher:
 
 
 def _task_kd_step(fw: ForwardResult, teacher: Optional[_TaskTeacher], task: TaskDataset,
-                  batch_seed: int, cfg: StageConfig) -> Tuple[T.Tensor, float, float]:
+                  batch_seed: int, cfg: StageConfig) -> StepLoss:
     """Step loss of a task stage; returns (loss, l_pt, l_kd). With a teacher
     the loss is the soft teacher loss alone, over the rows that
     task_minibatch drew for `batch_seed`."""
@@ -131,78 +128,116 @@ def _task_kd_step(fw: ForwardResult, teacher: Optional[_TaskTeacher], task: Task
     return loss, float(fw.loss.values), float(loss.values)
 
 
-def _eval_mlm(model: EncoderModel, corpus: Corpus, cfg: StageConfig) -> float:
-    batch = make_mlm_batch(corpus, seed=_batch_seed(cfg.data.corpus_seed, 999_999),
-                           batch=cfg.batch_size, seq_len=cfg.seq_len, split="validation")
-    return float(model.forward_mlm(batch).loss.values)
+# -- the training loop -----------------------------------------------------
+
+def _expect_stage(cfg: StageConfig, stage: str) -> None:
+    if cfg.stage != stage:
+        raise ConfigError(f"expected {stage} config, got {cfg.stage}")
 
 
-def _eval_task(model: EncoderModel, task: TaskDataset, quant=None) -> Tuple[float, float]:
-    """Validation (accuracy, mean loss)."""
+def _train(cfg: StageConfig, model: EncoderModel, step_loss: Callable[[int], StepLoss],
+           masks: Optional[MaskSet] = None) -> RunMetrics:
+    """The step loop of every stage: one Adam step per `step_loss(t)`.
+
+    A stage prunes exactly when its config has a pruning section: gradual
+    magnitude pruning on that schedule, under the rewound learning rate.
+    Without one, `masks` (None, or a locked zero pattern) holds on every step.
+    """
+    sp = cfg.pruning
+    sched = cfg.lr_schedule()
+    opt = Adam(model.parameters, weight_decay=cfg.weight_decay)
+    metrics = RunMetrics()
+    for t in range(cfg.steps):
+        lr = lr_rewound(sched, t)  # the plain schedule when there is no rewind window
+        if sp is not None and sp.start_step <= t <= sp.end_step \
+                and (t - sp.start_step) % sp.interval == 0:
+            masks = prune_step(model, masks, target_sparsity(sp, t))
+        loss, l_pt, l_kd = step_loss(t)
+        opt.zero_grad()
+        T.backward(loss)
+        # pattern frozen after the last mask recomputation; regrowth before it
+        opt.step(lr, masks if sp is None or t >= sp.end_step else None)
+        if t % cfg.log_every == 0:
+            metrics.log(t, lr, 0.0 if sp is None else target_sparsity(sp, t),
+                        sparsity_report(model).aggregate, l_pt, l_kd, float(loss.values))
+    return metrics
+
+
+def _train_mlm(cfg: StageConfig, model: EncoderModel,
+               teacher: Optional[EncoderModel]) -> Tuple[Checkpoint, RunMetrics]:
+    """MLM path of teacher-prep and prune, distilled from `teacher` when one
+    is given. A pruning stage reports the sparsity it reached, the dense
+    stage its last training loss."""
+    corpus = build_synthetic_corpus(cfg.data.corpus_seed, cfg.data.num_sequences,
+                                    vocab_size=cfg.model.vocab, seq_len=max(cfg.seq_len, 8))
+
+    def step_loss(t: int) -> StepLoss:
+        batch = make_mlm_batch(corpus, _batch_seed(cfg.seed, t), cfg.batch_size, cfg.seq_len)
+        return _mlm_kd_step(model, teacher, batch, cfg.distill)
+    metrics = _train(cfg, model, step_loss)
+    metrics.summary = ({"final_train_loss": metrics.rows[-1][-1]} if cfg.pruning is None
+                       else {"final_sparsity": sparsity_report(model).aggregate})
+    val = make_mlm_batch(corpus, seed=_batch_seed(cfg.data.corpus_seed, 999_999),
+                         batch=cfg.batch_size, seq_len=cfg.seq_len, split="validation")
+    metrics.summary["val_loss"] = float(model.forward_mlm(val).loss.values)
+    return checkpoint_from_model(model, cfg.stage, metrics.summary, cfg.digest()), metrics
+
+
+def _train_task(cfg: StageConfig, start_ckpt: Checkpoint, task: Optional[TaskDataset],
+                teacher_ckpt: Optional[Checkpoint],
+                quant: Optional[QatContext] = None) -> Tuple[Checkpoint, RunMetrics]:
+    """Task path of transfer, qat and the baseline: a classifier built from
+    `start_ckpt` trains on minibatches of `task`, then is evaluated on the
+    validation split and checkpointed.
+
+    Transfer and qat keep the zero pattern of `start_ckpt`; the baseline
+    prunes on its own schedule. With `quant` the forwards are fake-quantized,
+    and the model is evaluated and exported as the int8 runtime runs it:
+    with the activation ranges that training observed, and int8 weights.
+    """
+    if cfg.kd_enabled and teacher_ckpt is None:
+        raise ConfigError(f"{cfg.stage} with distillation needs a task teacher checkpoint")
+    task = task or _make_task(cfg)
+    model = model_from_checkpoint(start_ckpt, head_kind="classify",
+                                  num_labels=task.num_labels, seed=cfg.seed)
+    masks = lock_pattern(model) if cfg.pruning is None else None
+    teacher = _TaskTeacher(teacher_ckpt, task) if cfg.kd_enabled else None
+
+    def step_loss(t: int) -> StepLoss:
+        batch_seed = _batch_seed(cfg.seed, t)
+        batch = task_minibatch(task, batch_seed, cfg.batch_size)
+        fw = model.forward_classify(batch, quant=quant)
+        return _task_kd_step(fw, teacher, task, batch_seed, cfg)
+    metrics = _train(cfg, model, step_loss, masks)
+    q8_names, qat_summary = None, {}
+    if quant is not None:
+        ranges = quant.observer_ranges()
+        qat_summary = {"activation_ranges": {k: list(v) for k, v in sorted(ranges.items())}}
+        quant = QatContext.from_ranges(model.prunable_parameters(), ranges)
+        q8_names = {name: weight_qparams(model.parameters[name]).scale
+                    for name in model.prunable_parameters()}
     fw = model.forward_classify(task.validation, quant=quant)
-    pred = fw.logits.values.argmax(axis=-1)
-    acc = float((pred == task.validation.labels).mean())
-    return acc, float(fw.loss.values)
+    acc = float((fw.logits.values.argmax(axis=-1) == task.validation.labels).mean())
+    metrics.summary = {"val_accuracy": acc, "val_loss": float(fw.loss.values),
+                       "final_sparsity": sparsity_report(model).aggregate, **qat_summary}
+    ckpt = checkpoint_from_model(model, cfg.stage, metrics.summary, cfg.digest(), q8_names=q8_names)
+    return ckpt, metrics
 
 
 # -- stages -----------------------------------------------------------------
 
 def run_teacher_prep(cfg: StageConfig) -> Tuple[Checkpoint, RunMetrics]:
     """Dense MLM training; the resulting model seeds the pruning stage."""
-    if cfg.stage != "teacher-prep":
-        raise ConfigError(f"expected teacher-prep config, got {cfg.stage}")
-    model = build_model(replace(cfg.model, head_kind="mlm"), cfg.seed)
-    corpus = _make_corpus(cfg)
-    sched = cfg.lr_schedule()
-    opt = Adam(model.parameters, weight_decay=cfg.weight_decay)
-    metrics = RunMetrics()
-    for t in range(cfg.steps):
-        lr = lr_base(sched, t)
-        batch = make_mlm_batch(corpus, _batch_seed(cfg.seed, t), cfg.batch_size, cfg.seq_len)
-        loss = model.forward_mlm(batch).loss
-        opt.zero_grad()
-        T.backward(loss)
-        opt.step(lr)
-        if t % cfg.log_every == 0:
-            lv = float(loss.values)
-            metrics.log(t, lr, 0.0, sparsity_report(model).aggregate, lv, 0.0, lv)
-    metrics.summary = {"final_train_loss": metrics.rows[-1][-1],
-                       "val_loss": _eval_mlm(model, corpus, cfg)}
-    ckpt = checkpoint_from_model(model, "teacher-prep", metrics.summary, cfg.digest())
-    return ckpt, metrics
+    _expect_stage(cfg, "teacher-prep")
+    return _train_mlm(cfg, build_model(replace(cfg.model, head_kind="mlm"), cfg.seed), None)
 
 
 def run_student_prune(cfg: StageConfig, teacher_ckpt: Checkpoint) -> Tuple[Checkpoint, RunMetrics]:
     """GMP with learning-rate rewinding under distillation from the frozen teacher."""
-    if cfg.stage != "student-prune":
-        raise ConfigError(f"expected student-prune config, got {cfg.stage}")
+    _expect_stage(cfg, "student-prune")
     _check_same_encoder(cfg.model, teacher_ckpt.model_config)
-    teacher = model_from_checkpoint(teacher_ckpt)
-    student = model_from_checkpoint(teacher_ckpt)
-    corpus = _make_corpus(cfg)
-    sp = cfg.pruning
-    sched = cfg.lr_schedule()
-    opt = Adam(student.parameters, weight_decay=cfg.weight_decay)
-    metrics = RunMetrics()
-    masks: Optional[MaskSet] = None
-    kd_teacher = teacher if cfg.kd_enabled else None
-    for t in range(cfg.steps):
-        lr = lr_rewound(sched, t)
-        if sp.start_step <= t <= sp.end_step and (t - sp.start_step) % sp.interval == 0:
-            masks = prune_step(student, masks, target_sparsity(sp, t))
-        batch = make_mlm_batch(corpus, _batch_seed(cfg.seed, t), cfg.batch_size, cfg.seq_len)
-        loss, l_pt, l_kd = _mlm_kd_step(student, kd_teacher, batch, cfg.distill)
-        opt.zero_grad()
-        T.backward(loss)
-        # pattern frozen after the last mask recomputation; regrowth before it
-        opt.step(lr, masks if t >= sp.end_step else None)
-        if t % cfg.log_every == 0:
-            metrics.log(t, lr, target_sparsity(sp, t), sparsity_report(student).aggregate,
-                        l_pt, l_kd, float(loss.values))
-    metrics.summary = {"final_sparsity": sparsity_report(student).aggregate,
-                       "val_loss": _eval_mlm(student, corpus, cfg)}
-    ckpt = checkpoint_from_model(student, "student-prune", metrics.summary, cfg.digest())
-    return ckpt, metrics
+    teacher = model_from_checkpoint(teacher_ckpt) if cfg.kd_enabled else None
+    return _train_mlm(cfg, model_from_checkpoint(teacher_ckpt), teacher)
 
 
 def run_transfer(cfg: StageConfig, start_ckpt: Checkpoint,
@@ -213,35 +248,8 @@ def run_transfer(cfg: StageConfig, start_ckpt: Checkpoint,
     With distillation on, the objective is the soft teacher loss alone and
     a dense task teacher checkpoint is required.
     """
-    if cfg.stage != "transfer":
-        raise ConfigError(f"expected transfer config, got {cfg.stage}")
-    if cfg.kd_enabled and teacher_ckpt is None:
-        raise ConfigError("transfer with distillation needs a task teacher checkpoint")
-    task = task or _make_task(cfg)
-    model = model_from_checkpoint(start_ckpt, head_kind="classify",
-                                  num_labels=task.num_labels, seed=cfg.seed)
-    masks = lock_pattern(model)
-    teacher = _TaskTeacher(teacher_ckpt, task) if cfg.kd_enabled else None
-    sched = cfg.lr_schedule()
-    opt = Adam(model.parameters, weight_decay=cfg.weight_decay)
-    metrics = RunMetrics()
-    for t in range(cfg.steps):
-        lr = lr_base(sched, t)
-        batch_seed = _batch_seed(cfg.seed, t)
-        batch = task_minibatch(task, batch_seed, cfg.batch_size)
-        fw = model.forward_classify(batch)
-        loss, l_pt, l_kd = _task_kd_step(fw, teacher, task, batch_seed, cfg)
-        opt.zero_grad()
-        T.backward(loss)
-        opt.step(lr, masks)
-        if t % cfg.log_every == 0:
-            metrics.log(t, lr, 0.0, sparsity_report(model).aggregate,
-                        l_pt, l_kd, float(loss.values))
-    acc, val_loss = _eval_task(model, task)
-    metrics.summary = {"val_accuracy": acc, "val_loss": val_loss,
-                       "final_sparsity": sparsity_report(model).aggregate}
-    ckpt = checkpoint_from_model(model, "transfer", metrics.summary, cfg.digest())
-    return ckpt, metrics
+    _expect_stage(cfg, "transfer")
+    return _train_task(cfg, start_ckpt, task, teacher_ckpt)
 
 
 def run_qat(cfg: StageConfig, finetuned_ckpt: Checkpoint,
@@ -253,42 +261,9 @@ def run_qat(cfg: StageConfig, finetuned_ckpt: Checkpoint,
     asymmetrically from running extrema; embeddings stay float. The zero
     pattern is locked throughout.
     """
-    if cfg.stage != "qat":
-        raise ConfigError(f"expected qat config, got {cfg.stage}")
-    task = task or _make_task(cfg)
-    model = model_from_checkpoint(finetuned_ckpt, head_kind="classify",
-                                  num_labels=task.num_labels, seed=cfg.seed)
-    masks = lock_pattern(model)
-    qat = QatContext(model.prunable_parameters())
-    teacher = None
-    if cfg.kd_enabled and teacher_ckpt is not None:
-        teacher = _TaskTeacher(teacher_ckpt, task)
-    sched = cfg.lr_schedule()
-    opt = Adam(model.parameters, weight_decay=cfg.weight_decay)
-    metrics = RunMetrics()
-    for t in range(cfg.steps):
-        lr = lr_base(sched, t)
-        batch_seed = _batch_seed(cfg.seed, t)
-        batch = task_minibatch(task, batch_seed, cfg.batch_size)
-        fw = model.forward_classify(batch, quant=qat)
-        loss, l_pt, l_kd = _task_kd_step(fw, teacher, task, batch_seed, cfg)
-        opt.zero_grad()
-        T.backward(loss)
-        opt.step(lr, masks)
-        if t % cfg.log_every == 0:
-            metrics.log(t, lr, 0.0, sparsity_report(model).aggregate,
-                        l_pt, l_kd, float(loss.values))
-    acc, val_loss = _eval_task(model, task, quant=QatContext.from_ranges(
-        model.prunable_parameters(), qat.observer_ranges()))
-    metrics.summary = {
-        "val_accuracy": acc, "val_loss": val_loss,
-        "final_sparsity": sparsity_report(model).aggregate,
-        "activation_ranges": {k: list(v) for k, v in sorted(qat.observer_ranges().items())},
-    }
-    q8_names = {name: weight_qparams(model.parameters[name]).scale
-                for name in model.prunable_parameters()}
-    ckpt = checkpoint_from_model(model, "qat", metrics.summary, cfg.digest(), q8_names=q8_names)
-    return ckpt, metrics
+    _expect_stage(cfg, "qat")
+    qat = QatContext(prunable_parameter_names(finetuned_ckpt.model_config))
+    return _train_task(cfg, finetuned_ckpt, task, teacher_ckpt, qat)
 
 
 def run_finetune_prune_baseline(cfg: StageConfig, dense_ckpt: Checkpoint,
@@ -296,42 +271,11 @@ def run_finetune_prune_baseline(cfg: StageConfig, dense_ckpt: Checkpoint,
                                 teacher_ckpt: Optional[Checkpoint] = None
                                 ) -> Tuple[Checkpoint, RunMetrics]:
     """Baseline: GMP applied during task fine-tuning instead of pre-training."""
-    if cfg.stage != "finetune-prune-baseline":
-        raise ConfigError(f"expected finetune-prune-baseline config, got {cfg.stage}")
-    task = task or _make_task(cfg)
-    model = model_from_checkpoint(dense_ckpt, head_kind="classify",
-                                  num_labels=task.num_labels, seed=cfg.seed)
-    if cfg.kd_enabled and teacher_ckpt is None:
-        raise ConfigError("baseline with distillation needs a task teacher checkpoint")
-    teacher = _TaskTeacher(teacher_ckpt, task) if cfg.kd_enabled else None
-    sp = cfg.pruning
-    sched = cfg.lr_schedule()
-    opt = Adam(model.parameters, weight_decay=cfg.weight_decay)
-    metrics = RunMetrics()
-    masks: Optional[MaskSet] = None
-    for t in range(cfg.steps):
-        lr = lr_rewound(sched, t)
-        if sp.start_step <= t <= sp.end_step and (t - sp.start_step) % sp.interval == 0:
-            masks = prune_step(model, masks, target_sparsity(sp, t))
-        batch_seed = _batch_seed(cfg.seed, t)
-        batch = task_minibatch(task, batch_seed, cfg.batch_size)
-        fw = model.forward_classify(batch)
-        loss, l_pt, l_kd = _task_kd_step(fw, teacher, task, batch_seed, cfg)
-        opt.zero_grad()
-        T.backward(loss)
-        opt.step(lr, masks if t >= sp.end_step else None)
-        if t % cfg.log_every == 0:
-            metrics.log(t, lr, target_sparsity(sp, t), sparsity_report(model).aggregate,
-                        l_pt, l_kd, float(loss.values))
-    acc, val_loss = _eval_task(model, task)
-    metrics.summary = {"val_accuracy": acc, "val_loss": val_loss,
-                       "final_sparsity": sparsity_report(model).aggregate}
-    ckpt = checkpoint_from_model(model, "finetune-prune-baseline", metrics.summary, cfg.digest())
-    return ckpt, metrics
+    _expect_stage(cfg, "finetune-prune-baseline")
+    return _train_task(cfg, dense_ckpt, task, teacher_ckpt)
 
 
 __all__ = [
     "RunMetrics", "METRICS_HEADER", "run_teacher_prep", "run_student_prune",
     "run_transfer", "run_qat", "run_finetune_prune_baseline",
-    "save_checkpoint", "load_checkpoint",
 ]

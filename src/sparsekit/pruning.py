@@ -130,7 +130,7 @@ class SparsityReport:
         return "\n".join(lines)
 
 
-def sparsity_report(model, mask_set: MaskSet | None = None) -> SparsityReport:
+def sparsity_report(model) -> SparsityReport:
     """Zero fractions over the prunable weights only (embeddings excluded)."""
     per_tensor = {}
     zeros = 0

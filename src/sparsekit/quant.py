@@ -47,11 +47,6 @@ class Observer:
         return self
 
 
-def observe(obs: Observer, x) -> Observer:
-    vals = x.values if isinstance(x, Tensor) else np.asarray(x)
-    return obs.observe(vals)
-
-
 def weight_qparams(w) -> QuantParams:
     """Per-tensor symmetric int8: scale = max|w| / 127, zero point 0."""
     vals = w.values if isinstance(w, Tensor) else np.asarray(w)

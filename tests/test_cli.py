@@ -130,7 +130,8 @@ def test_grid_command(workdir, capsys, tmp_path):
     assert "best:" in out
 
 
-@pytest.mark.parametrize("key", ["batch_size", "log_every"])
+# The second `steps = 0` line overrides `steps = 2`.
+@pytest.mark.parametrize("key", ["steps", "batch_size", "log_every"])
 def test_out_of_range_run_value_is_one_line_error(key, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"[run]\nstage = teacher-prep\nsteps = 2\n{key} = 0\n")

@@ -35,8 +35,11 @@ def test_stage_pruning_contract():
     with pytest.raises(ConfigError, match="requires a pruning"):
         default_config("student-prune", pruning=None)
     sp = default_config("student-prune")
-    with pytest.raises(ConfigError, match="no pruning"):
-        default_config("teacher-prep", pruning=sp.pruning)
+    for stage in ("teacher-prep", "transfer", "qat"):
+        with pytest.raises(ConfigError, match=f"{stage} takes no pruning section"):
+            default_config(stage, pruning=sp.pruning)
+        with pytest.raises(ConfigError, match=f"{stage} takes no pruning section"):
+            parse_config_text(f"[run]\nstage = {stage}\n[pruning]\ninterval = 5\n")
 
 
 def test_lr_schedule_wiring():
@@ -141,7 +144,7 @@ def test_load_config_file(tmp_path):
     assert load_config(p).stage == "student-prune"
 
 
-@pytest.mark.parametrize("key", ["batch_size", "log_every"])
+@pytest.mark.parametrize("key", ["steps", "batch_size", "log_every"])
 @pytest.mark.parametrize("value", [0, -3])
 def test_out_of_range_run_values_rejected(key, value):
     with pytest.raises(ConfigError, match=f"{key} must be >= 1"):

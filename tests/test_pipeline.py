@@ -12,7 +12,7 @@ from sparsekit.data import (build_synthetic_corpus, make_mlm_batch, task_minibat
 from sparsekit.distill import kd_loss
 from sparsekit.model import ConfigError, build_model, prunable_parameter_names
 from sparsekit.pipeline import (METRICS_HEADER, _batch_seed, _make_task, _TaskTeacher,
-                                run_finetune_prune_baseline, run_student_prune,
+                                run_finetune_prune_baseline, run_qat, run_student_prune,
                                 run_teacher_prep, run_transfer)
 from sparsekit.pruning import SparsitySchedule, target_sparsity
 
@@ -62,10 +62,13 @@ def test_student_prune_hits_exact_sparsity(sparse_ckpt):
     assert sparse_ckpt.metrics["final_sparsity"] == pytest.approx(0.9, abs=0.01)
 
 
-def test_student_prune_logs_schedule(sparse_ckpt, teacher_ckpt):
-    cfg = default_config("student-prune", seed=2, steps=30,
+@pytest.mark.parametrize("stage", ["student-prune", "finetune-prune-baseline"])
+def test_student_prune_logs_schedule(stage, sparse_ckpt, teacher_ckpt):
+    cfg = default_config(stage, seed=2, steps=30, kd_enabled=stage == "student-prune",
                          pruning=SparsitySchedule(0.0, 0.5, 0, 20, 25, 1))
-    _, metrics = run_student_prune(cfg, teacher_ckpt)
+    run = run_student_prune if stage == "student-prune" else run_finetune_prune_baseline
+    _, metrics = run(cfg, teacher_ckpt)
+    assert len(metrics.rows) == 30
     for row in metrics.rows:
         t, _, target, actual = row[0], row[1], row[2], row[3]
         assert target == target_sparsity(cfg.pruning, t)
@@ -93,9 +96,12 @@ def test_transfer_reaches_usable_accuracy(finetuned_ckpt):
     assert finetuned_ckpt.metrics["val_accuracy"] >= 0.9
 
 
-def test_transfer_needs_teacher_when_kd_on(sparse_ckpt):
-    with pytest.raises(ConfigError, match="teacher"):
-        run_transfer(default_config("transfer", seed=4), sparse_ckpt)
+@pytest.mark.parametrize("stage", ["transfer", "qat", "finetune-prune-baseline"])
+def test_transfer_needs_teacher_when_kd_on(stage, sparse_ckpt):
+    run = {"transfer": run_transfer, "qat": run_qat,
+           "finetune-prune-baseline": run_finetune_prune_baseline}[stage]
+    with pytest.raises(ConfigError, match=f"{stage} with distillation needs a task teacher"):
+        run(default_config(stage, seed=4), sparse_ckpt)
 
 
 def test_qat_exports_q8(qat_ckpt):

@@ -3,7 +3,7 @@ import pytest
 
 from sparsekit.quant import (Observer, QatContext, QuantParams,
                              activation_qparams, dequantize, fake_quant,
-                             observe, quantize_ints, weight_qparams)
+                             quantize_ints, weight_qparams)
 from sparsekit.tensor import ContractError, Tensor, backward
 
 
@@ -58,8 +58,8 @@ def test_activation_qparams_constant_signal():
 
 def test_observer_running_extrema():
     obs = Observer()
-    observe(obs, np.array([1.0, 2.0]))
-    observe(obs, np.array([-3.0, 0.5]))
+    obs.observe(np.array([1.0, 2.0]))
+    obs.observe(np.array([-3.0, 0.5]))
     assert obs.running_min == -3.0
     assert obs.running_max == 2.0
 

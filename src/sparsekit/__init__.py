@@ -8,6 +8,6 @@ from .pruning import (MaskSet, SparsitySchedule, apply_masks, lock_pattern,
                       masked_grad, prune_step, sparsity_report, target_sparsity)
 from .quant import Observer, QuantParams, activation_qparams, fake_quant, weight_qparams
 from .schedule import LrSchedule, RewindWindow, lr_base, lr_rewound
-from .tensor import Tensor, backward, eval_primitive, finite_diff_check, seeded_init
+from .tensor import Tensor, backward, finite_diff_check, seeded_init
 
 __version__ = "0.1.0"

@@ -1,27 +1,31 @@
-"""Binary checkpoint format: dense f32, sparse bitmap, and int8 records.
+"""Binary checkpoint format: f32 or int8 tensor records, dense or bitmap-sparse.
 
 Layout (little endian throughout):
   magic "POFA" | u16 version | stage string | model config blob |
   u32 tensor count | tensor records | metrics JSON blob | 32-byte config hash
 
-Tensor record: name | u8 ndim | u32 dims | u8 storage kind | payload
-  kind 0 dense-f32: raw f32 buffer
-  kind 1 sparse:    bitmap (ceil(n/8) bytes, bit = nonzero) | u32 nnz | f32 payload
-  kind 2 q8:        f32 scale | i32 zero point | u8 has_bitmap |
-                    [bitmap | u32 nnz | int8 nonzero payload] or [int8 full payload]
+Tensor record: name | u8 ndim | u32 dims | u8 storage kind |
+               [int8 header] | [bitmap | u32 nnz] | payload
+  kind 0 dense-f32: f32 payload of every value
+  kind 1 sparse:    bitmap (ceil(n/8) bytes, bit = nonzero) | u32 nnz | f32 nonzero payload
+  kind 2 q8:        int8 header (f32 scale | i32 zero point | u8 has_bitmap), then
+                    bitmap | u32 nnz when has_bitmap is 1, then the int8 payload
 Strings are u16 length-prefixed UTF-8; blobs are u32 length-prefixed.
+deserialize reads back only what serialize writes: anything else, trailing
+bytes after the config hash included, raises FormatError with its offset.
 """
 from __future__ import annotations
 
 import json
 import math
 import struct
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass, field, replace
+from typing import Collection, Dict, Optional
 
 import numpy as np
 
 from .model import EncoderModel, ModelConfig, build_model
+from .quant import QuantParams, dequantize, quantize_ints, weight_qparams
 
 MAGIC = b"POFA"
 VERSION = 1
@@ -34,43 +38,52 @@ class FormatError(ValueError):
 
 @dataclass
 class TensorRecord:
+    """One stored tensor. `payload` holds every value in flat order, or only
+    the nonzeros when there is a bitmap. It is int8, dequantized with
+    `scale` and `zero_point`, exactly when `scale` is set; f32 otherwise."""
     name: str
     shape: tuple
-    storage: int
-    dense: Optional[np.ndarray] = None          # f32, dense
-    bitmap: Optional[np.ndarray] = None         # bool, flat, True = nonzero
-    payload_f32: Optional[np.ndarray] = None    # f32 nonzero values
-    scale: float = 1.0
+    payload: np.ndarray
+    bitmap: Optional[np.ndarray] = None  # bool, flat, True = nonzero
+    scale: Optional[float] = None
     zero_point: int = 0
-    payload_i8: Optional[np.ndarray] = None     # int8 values
+
+    @property
+    def storage(self) -> int:
+        """The wire tag, derived from the record's shape."""
+        if self.scale is not None:
+            return Q8
+        return DENSE_F32 if self.bitmap is None else SPARSE
 
     @property
     def size(self) -> int:
         return int(math.prod(self.shape))
 
     def to_dense(self) -> np.ndarray:
-        if self.storage == DENSE_F32:
-            return self.dense.reshape(self.shape).copy()
-        if self.storage == SPARSE:
-            flat = np.zeros(self.size, dtype=np.float32)
-            flat[self.bitmap] = self.payload_f32
-            return flat.reshape(self.shape)
+        values = self.payload
+        if self.scale is not None:
+            values = dequantize(values, QuantParams(self.scale, self.zero_point))
+        if self.bitmap is None:
+            return values.reshape(self.shape).copy()
         flat = np.zeros(self.size, dtype=np.float32)
-        if self.bitmap is not None:
-            flat[self.bitmap] = self.payload_i8.astype(np.float32) * np.float32(self.scale)
-        else:
-            flat = (self.payload_i8.astype(np.float32) - np.float32(self.zero_point)) * np.float32(self.scale)
+        flat[self.bitmap] = values
         return flat.reshape(self.shape)
 
+    def nonzero_count(self) -> int:
+        return int(np.count_nonzero(self.payload))
+
+    def bits(self) -> int:
+        return 32 if self.scale is None else 8
+
     def payload_bytes(self) -> int:
-        if self.storage == DENSE_F32:
-            return 4 * self.size
-        if self.storage == SPARSE:
-            return 4 * int(self.payload_f32.size)
-        return int(self.payload_i8.size)
+        return int(self.payload.nbytes)
 
     def bitmap_bytes(self) -> int:
         return (self.size + 7) // 8 if self.bitmap is not None else 0
+
+    def header_bytes(self) -> int:
+        """The int8 scale and zero point."""
+        return 0 if self.scale is None else 8
 
 
 @dataclass
@@ -83,36 +96,33 @@ class Checkpoint:
 
 
 def dense_record(name: str, values: np.ndarray) -> TensorRecord:
-    return TensorRecord(name, values.shape, DENSE_F32, dense=values.astype(np.float32).reshape(-1))
+    return TensorRecord(name, values.shape, values.astype(np.float32).reshape(-1))
 
 
 def sparse_record(name: str, values: np.ndarray) -> TensorRecord:
     flat = values.astype(np.float32).reshape(-1)
     bitmap = flat != 0
-    return TensorRecord(name, values.shape, SPARSE, bitmap=bitmap, payload_f32=flat[bitmap])
+    return TensorRecord(name, values.shape, flat[bitmap], bitmap)
 
 
 def q8_record(name: str, values: np.ndarray, scale: float, with_bitmap: bool) -> TensorRecord:
-    flat = values.astype(np.float32).reshape(-1)
-    q = np.clip(np.round(flat / np.float32(scale)), -127, 127).astype(np.int8)
-    if with_bitmap:
-        bitmap = q != 0
-        return TensorRecord(name, values.shape, Q8, bitmap=bitmap, scale=scale,
-                            zero_point=0, payload_i8=q[bitmap])
-    return TensorRecord(name, values.shape, Q8, scale=scale, zero_point=0, payload_i8=q)
+    q = quantize_ints(values.astype(np.float32).reshape(-1), QuantParams(scale, 0)).astype(np.int8)
+    bitmap = q != 0 if with_bitmap else None
+    return TensorRecord(name, values.shape, q if bitmap is None else q[bitmap], bitmap, scale)
 
 
 def checkpoint_from_model(model: EncoderModel, stage: str, metrics: Optional[dict] = None,
                           config_hash: bytes = b"\x00" * 32,
-                          q8_names: Optional[Dict[str, float]] = None) -> Checkpoint:
-    """Dense by default; sparse when more than half zeros; q8 for listed names."""
+                          q8_names: Collection[str] = ()) -> Checkpoint:
+    """Dense by default; sparse when more than half zeros; int8 for the names
+    in `q8_names`, each with its own symmetric per-tensor scale."""
     tensors: Dict[str, TensorRecord] = {}
     for name, p in model.parameters.items():
         vals = p.values
-        if q8_names and name in q8_names:
-            zero_frac = float((vals == 0).mean())
-            tensors[name] = q8_record(name, vals, q8_names[name], with_bitmap=zero_frac > 0.5)
-        elif float((vals == 0).mean()) > 0.5:
+        mostly_zero = float((vals == 0).mean()) > 0.5
+        if name in q8_names:
+            tensors[name] = q8_record(name, vals, weight_qparams(vals).scale, mostly_zero)
+        elif mostly_zero:
             tensors[name] = sparse_record(name, vals)
         else:
             tensors[name] = dense_record(name, vals)
@@ -124,8 +134,6 @@ def model_from_checkpoint(ckpt: Checkpoint, head_kind: Optional[str] = None,
     """Rebuild a dense float32 model; missing head params are freshly seeded."""
     cfg = ckpt.model_config
     if head_kind is not None or num_labels is not None:
-        from dataclasses import replace
-
         cfg = replace(cfg, head_kind=head_kind or cfg.head_kind,
                       num_labels=num_labels or cfg.num_labels)
     model = build_model(cfg, seed=seed)
@@ -164,12 +172,15 @@ def _config_from_blob(blob: bytes) -> ModelConfig:
         num_labels=int(kv["num_labels"]))
 
 
-def _pack_bitmap(bitmap: np.ndarray) -> bytes:
-    return np.packbits(bitmap.astype(np.uint8)).tobytes()
+def _metrics_blob(metrics: dict) -> bytes:
+    return json.dumps(metrics, sort_keys=True).encode("utf-8")
 
 
-def _unpack_bitmap(raw: bytes, n: int) -> np.ndarray:
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n).astype(bool)
+def _metrics_from_blob(blob: bytes) -> dict:
+    metrics = json.loads(blob.decode("utf-8"))
+    if not isinstance(metrics, dict):
+        raise ValueError("metrics are not a JSON object")
+    return metrics
 
 
 def serialize(ckpt: Checkpoint) -> bytes:
@@ -178,24 +189,14 @@ def serialize(ckpt: Checkpoint) -> bytes:
            struct.pack("<I", len(ckpt.tensors))]
     for name, rec in ckpt.tensors.items():
         out.append(_pack_str(name))
-        out.append(struct.pack("<B", len(rec.shape)))
-        out.append(struct.pack(f"<{len(rec.shape)}I", *rec.shape))
-        out.append(struct.pack("<B", rec.storage))
-        if rec.storage == DENSE_F32:
-            out.append(rec.dense.astype("<f4").tobytes())
-        elif rec.storage == SPARSE:
-            out.append(_pack_bitmap(rec.bitmap))
-            out.append(struct.pack("<I", rec.payload_f32.size))
-            out.append(rec.payload_f32.astype("<f4").tobytes())
-        else:
-            out.append(struct.pack("<fi", rec.scale, rec.zero_point))
-            has_bitmap = rec.bitmap is not None
-            out.append(struct.pack("<B", int(has_bitmap)))
-            if has_bitmap:
-                out.append(_pack_bitmap(rec.bitmap))
-                out.append(struct.pack("<I", rec.payload_i8.size))
-            out.append(rec.payload_i8.tobytes())
-    out.append(_pack_blob(json.dumps(ckpt.metrics, sort_keys=True).encode("utf-8")))
+        out.append(struct.pack(f"<B{len(rec.shape)}IB", len(rec.shape), *rec.shape, rec.storage))
+        if rec.scale is not None:
+            out.append(struct.pack("<fiB", rec.scale, rec.zero_point, rec.bitmap is not None))
+        if rec.bitmap is not None:
+            out.append(np.packbits(rec.bitmap).tobytes())
+            out.append(struct.pack("<I", rec.payload.size))
+        out.append(rec.payload.astype("<f4" if rec.scale is None else "i1").tobytes())
+    out.append(_pack_blob(_metrics_blob(ckpt.metrics)))
     out.append(ckpt.config_hash)
     return b"".join(out)
 
@@ -217,11 +218,50 @@ class _Reader:
 
     def read_str(self) -> str:
         (n,) = self.unpack("<H")
-        return self.take(n).decode("utf-8")
+        at = self.pos
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"bad UTF-8 string at offset {at}") from None
 
-    def read_blob(self) -> bytes:
+    def read_blob(self, what: str, parse, encode):
+        """A u32-length blob that `parse` reads and `encode` writes back unchanged."""
         (n,) = self.unpack("<I")
-        return self.take(n)
+        at = self.pos
+        blob = self.take(n)
+        try:
+            value = parse(blob)
+            if encode(value) == blob:
+                return value
+        except (ArithmeticError, LookupError, RecursionError, ValueError):
+            pass
+        raise FormatError(f"bad {what} at offset {at}")
+
+
+def _read_record(r: _Reader, name: str) -> TensorRecord:
+    (ndim,) = r.unpack("<B")
+    shape = tuple(r.unpack(f"<{ndim}I"))
+    at = r.pos
+    (storage,) = r.unpack("<B")
+    if storage not in (DENSE_F32, SPARSE, Q8):
+        raise FormatError(f"unknown storage kind {storage} at offset {at}")
+    scale, zero_point, has_bitmap = None, 0, storage == SPARSE
+    if storage == Q8:
+        scale, zero_point, has_bitmap = r.unpack("<fiB")
+        if not scale > 0 or has_bitmap > 1:
+            raise FormatError(f"bad int8 header at offset {at + 1}")
+    n = math.prod(shape)
+    bitmap, count = None, n
+    if has_bitmap:
+        at = r.pos
+        bits = np.unpackbits(np.frombuffer(r.take((n + 7) // 8), dtype=np.uint8))
+        (count,) = r.unpack("<I")
+        if count != int(bits.sum()) or bits[n:].any():
+            raise FormatError(f"bitmap popcount mismatch at offset {at}")
+        bitmap = bits[:n].astype(bool)
+    dtype = np.dtype("<f4" if scale is None else "i1")
+    payload = np.frombuffer(r.take(count * dtype.itemsize), dtype=dtype).copy()
+    return TensorRecord(name, shape, payload, bitmap, scale, zero_point)
 
 
 def deserialize(data: bytes) -> Checkpoint:
@@ -232,45 +272,19 @@ def deserialize(data: bytes) -> Checkpoint:
     if version != VERSION:
         raise FormatError(f"unsupported version {version} at offset 4")
     stage = r.read_str()
-    cfg = _config_from_blob(r.read_blob())
+    cfg = r.read_blob("model config", _config_from_blob, _config_blob)
     (count,) = r.unpack("<I")
     tensors: Dict[str, TensorRecord] = {}
     for _ in range(count):
+        at = r.pos
         name = r.read_str()
-        (ndim,) = r.unpack("<B")
-        shape = tuple(r.unpack(f"<{ndim}I"))
-        (storage,) = r.unpack("<B")
-        n = int(math.prod(shape))
-        if storage == DENSE_F32:
-            dense = np.frombuffer(r.take(4 * n), dtype="<f4").copy()
-            rec = TensorRecord(name, shape, DENSE_F32, dense=dense)
-        elif storage == SPARSE:
-            bitmap = _unpack_bitmap(r.take((n + 7) // 8), n)
-            (nnz,) = r.unpack("<I")
-            if nnz != int(bitmap.sum()):
-                raise FormatError(f"bitmap popcount mismatch at offset {r.pos}")
-            payload = np.frombuffer(r.take(4 * nnz), dtype="<f4").copy()
-            rec = TensorRecord(name, shape, SPARSE, bitmap=bitmap, payload_f32=payload)
-        elif storage == Q8:
-            scale, zp = r.unpack("<fi")
-            (has_bitmap,) = r.unpack("<B")
-            if has_bitmap:
-                bitmap = _unpack_bitmap(r.take((n + 7) // 8), n)
-                (nnz,) = r.unpack("<I")
-                if nnz != int(bitmap.sum()):
-                    raise FormatError(f"bitmap popcount mismatch at offset {r.pos}")
-                payload = np.frombuffer(r.take(nnz), dtype=np.int8).copy()
-                rec = TensorRecord(name, shape, Q8, bitmap=bitmap, scale=scale,
-                                   zero_point=zp, payload_i8=payload)
-            else:
-                payload = np.frombuffer(r.take(n), dtype=np.int8).copy()
-                rec = TensorRecord(name, shape, Q8, scale=scale, zero_point=zp,
-                                   payload_i8=payload)
-        else:
-            raise FormatError(f"unknown storage kind {storage} at offset {r.pos}")
-        tensors[name] = rec
-    metrics = json.loads(r.read_blob().decode("utf-8"))
+        if name in tensors:
+            raise FormatError(f"duplicate tensor {name!r} at offset {at}")
+        tensors[name] = _read_record(r, name)
+    metrics = r.read_blob("metrics", _metrics_from_blob, _metrics_blob)
     config_hash = r.take(32)
+    if r.pos != len(data):
+        raise FormatError(f"trailing bytes at offset {r.pos}")
     return Checkpoint(stage, cfg, tensors, metrics, config_hash)
 
 

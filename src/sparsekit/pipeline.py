@@ -21,7 +21,7 @@ from .model import (ConfigError, EncoderModel, ForwardResult, build_model,
 from .optim import Adam
 from .pruning import (MaskSet, lock_pattern, prune_step, sparsity_report,
                       target_sparsity)
-from .quant import QatContext, weight_qparams
+from .quant import QatContext
 from .schedule import lr_rewound
 
 METRICS_HEADER = "step,lr,target_sparsity,actual_sparsity,loss_pt,loss_kd,loss_total"
@@ -149,8 +149,9 @@ def _train(cfg: StageConfig, model: EncoderModel, step_loss: Callable[[int], Ste
     metrics = RunMetrics()
     for t in range(cfg.steps):
         lr = lr_rewound(sched, t)  # the plain schedule when there is no rewind window
+        # the freeze step always prunes, so the frozen pattern meets the target
         if sp is not None and sp.start_step <= t <= sp.end_step \
-                and (t - sp.start_step) % sp.interval == 0:
+                and ((t - sp.start_step) % sp.interval == 0 or t == sp.end_step):
             masks = prune_step(model, masks, target_sparsity(sp, t))
         loss, l_pt, l_kd = step_loss(t)
         opt.zero_grad()
@@ -197,6 +198,7 @@ def _train_task(cfg: StageConfig, start_ckpt: Checkpoint, task: Optional[TaskDat
     """
     if cfg.kd_enabled and teacher_ckpt is None:
         raise ConfigError(f"{cfg.stage} with distillation needs a task teacher checkpoint")
+    _check_same_encoder(cfg.model, start_ckpt.model_config)
     task = task or _make_task(cfg)
     model = model_from_checkpoint(start_ckpt, head_kind="classify",
                                   num_labels=task.num_labels, seed=cfg.seed)
@@ -209,13 +211,12 @@ def _train_task(cfg: StageConfig, start_ckpt: Checkpoint, task: Optional[TaskDat
         fw = model.forward_classify(batch, quant=quant)
         return _task_kd_step(fw, teacher, task, batch_seed, cfg)
     metrics = _train(cfg, model, step_loss, masks)
-    q8_names, qat_summary = None, {}
+    q8_names, qat_summary = (), {}
     if quant is not None:
         ranges = quant.observer_ranges()
         qat_summary = {"activation_ranges": {k: list(v) for k, v in sorted(ranges.items())}}
-        quant = QatContext.from_ranges(model.prunable_parameters(), ranges)
-        q8_names = {name: weight_qparams(model.parameters[name]).scale
-                    for name in model.prunable_parameters()}
+        q8_names = model.prunable_parameters()
+        quant = QatContext.from_ranges(q8_names, ranges)
     fw = model.forward_classify(task.validation, quant=quant)
     acc = float((fw.logits.values.argmax(axis=-1) == task.validation.labels).mean())
     metrics.summary = {"val_accuracy": acc, "val_loss": float(fw.loss.values),

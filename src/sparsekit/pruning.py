@@ -121,14 +121,6 @@ class SparsityReport:
     nonzero_count: int
     total_count: int
 
-    def as_text(self) -> str:
-        lines = [f"{'tensor':40s} {'sparsity':>9s}"]
-        for name, s in self.per_tensor.items():
-            lines.append(f"{name:40s} {s:9.4f}")
-        lines.append(f"{'aggregate':40s} {self.aggregate:9.4f}")
-        lines.append(f"nonzero parameters: {self.nonzero_count} / {self.total_count}")
-        return "\n".join(lines)
-
 
 def sparsity_report(model) -> SparsityReport:
     """Zero fractions over the prunable weights only (embeddings excluded)."""

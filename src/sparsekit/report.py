@@ -2,9 +2,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Iterator, List, Tuple
 
-from .checkpoint import Checkpoint, DENSE_F32, Q8, SPARSE
+from .checkpoint import Checkpoint, FormatError, TensorRecord
 from .model import prunable_parameter_names
 from .pruning import SparsitySchedule, target_sparsity
 from .schedule import LrSchedule, lr_base, lr_rewound
@@ -38,52 +38,39 @@ class CompressionReport:
         return "\n".join(lines)
 
 
-def _tensor_stats(rec):
-    n = rec.size
-    if rec.storage == DENSE_F32:
-        nnz = int((rec.dense != 0).sum())
-        bits = 32
-        scale_bytes = 0
-    elif rec.storage == SPARSE:
-        nnz = int(rec.payload_f32.size)
-        bits = 32
-        scale_bytes = 0
-    else:
-        nnz = int((rec.payload_i8 != 0).sum()) if rec.bitmap is None else int(rec.payload_i8.size)
-        bits = 8
-        scale_bytes = 8  # f32 scale + i32 zero point
-    return n, nnz, bits, scale_bytes
+def _encoder_records(ckpt: Checkpoint) -> Iterator[Tuple[str, TensorRecord]]:
+    """(name, record) of each of the encoder's prunable weights."""
+    for name in prunable_parameter_names(ckpt.model_config):
+        if name not in ckpt.tensors:
+            raise FormatError(f"checkpoint has no tensor {name!r}")
+        yield name, ckpt.tensors[name]
 
 
 def compression_report(ckpt: Checkpoint) -> CompressionReport:
     """Byte accounting over the encoder's prunable weights only."""
     rows = []
-    dense_total = payload_total = bitmap_total = extra_total = 0
-    nonzero = 0
-    for name in prunable_parameter_names(ckpt.model_config):
-        rec = ckpt.tensors[name]
-        n, nnz, bits, scale_bytes = _tensor_stats(rec)
-        dense_b = 4 * n
-        payload_b = rec.payload_bytes()
-        bitmap_b = rec.bitmap_bytes()
-        rows.append(ReportRow(name, dense_b, payload_b, bitmap_b, 1.0 - nnz / n, bits))
-        dense_total += dense_b
-        payload_total += payload_b
-        bitmap_total += bitmap_b
-        extra_total += scale_bytes
+    header_total = nonzero = 0
+    for name, rec in _encoder_records(ckpt):
+        nnz = rec.nonzero_count()
+        rows.append(ReportRow(name, 4 * rec.size, rec.payload_bytes(), rec.bitmap_bytes(),
+                              1.0 - nnz / rec.size, rec.bits()))
+        header_total += rec.header_bytes()
         nonzero += nnz
+    dense_total = sum(r.dense_bytes for r in rows)
+    payload_total = sum(r.payload_bytes for r in rows)
+    bitmap_total = sum(r.bitmap_bytes for r in rows)
     return CompressionReport(
         rows,
         parameter_only_ratio=dense_total / payload_total if payload_total else 1.0,
-        on_disk_ratio=dense_total / (payload_total + bitmap_total + extra_total),
+        on_disk_ratio=dense_total / (payload_total + bitmap_total + header_total),
         nonzero_count=nonzero,
     )
 
 
 def payload_size_ratio(a: Checkpoint, b: Checkpoint) -> float:
     """Encoder payload bytes of A divided by those of B."""
-    pa = sum(a.tensors[n].payload_bytes() for n in prunable_parameter_names(a.model_config))
-    pb = sum(b.tensors[n].payload_bytes() for n in prunable_parameter_names(b.model_config))
+    pa = sum(rec.payload_bytes() for _, rec in _encoder_records(a))
+    pb = sum(rec.payload_bytes() for _, rec in _encoder_records(b))
     return pa / pb
 
 

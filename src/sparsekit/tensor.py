@@ -18,7 +18,7 @@ class ShapeError(ValueError):
 
 
 class UnsupportedPrimitiveError(ValueError):
-    """Unknown primitive kind."""
+    """Unknown init scheme."""
 
 
 class ContractError(ValueError):
@@ -297,31 +297,6 @@ def take_rows(a: Tensor, index: int, axis: int = 1) -> Tensor:
         return (ga,)
 
     return _node(out, (a,), back)
-
-
-_PRIMITIVES = {
-    "matmul": lambda inputs, attrs: matmul(*inputs),
-    "add": lambda inputs, attrs: add(*inputs),
-    "mul": lambda inputs, attrs: mul(*inputs),
-    "sub": lambda inputs, attrs: sub(*inputs),
-    "transpose": lambda inputs, attrs: transpose(inputs[0], attrs["axes"]),
-    "reshape": lambda inputs, attrs: reshape(inputs[0], attrs["shape"]),
-    "gelu": lambda inputs, attrs: gelu(inputs[0]),
-    "softmax-last-axis": lambda inputs, attrs: softmax_last_axis(inputs[0]),
-    "layer-norm-last-axis": lambda inputs, attrs: layer_norm_last_axis(inputs[0], attrs.get("eps", 1e-5)),
-    "embedding-lookup": lambda inputs, attrs: embedding_lookup(inputs[0], attrs["ids"]),
-    "cross-entropy-with-targets": lambda inputs, attrs: cross_entropy_with_targets(
-        inputs[0], attrs["targets"], attrs.get("ignore_index", IGNORE_INDEX)),
-    "mean": lambda inputs, attrs: mean(inputs[0]),
-    "scale": lambda inputs, attrs: scale(inputs[0], attrs["c"]),
-}
-
-
-def eval_primitive(kind: str, inputs: Sequence[Tensor], attrs: Optional[dict] = None) -> Tensor:
-    """Apply one primitive by name, recording it on the autodiff tape."""
-    if kind not in _PRIMITIVES:
-        raise UnsupportedPrimitiveError(f"unknown primitive kind {kind!r}")
-    return _PRIMITIVES[kind](list(inputs), attrs or {})
 
 
 # -- reverse pass ---------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -71,7 +72,7 @@ def test_q8_record_roundtrip_with_bitmap():
     w = np.array([[0.0, 0.5], [-1.0, 0.0]], dtype=np.float32)
     rec = q8_record("w", w, scale=1.0 / 127, with_bitmap=True)
     assert rec.storage == Q8
-    assert rec.payload_i8.size == 2
+    assert rec.payload.size == 2
     np.testing.assert_allclose(rec.to_dense(), w, atol=1.0 / 254)
     ckpt = Checkpoint("quantized", small_model().config, {"w": rec})
     back = deserialize(serialize(ckpt))
@@ -141,3 +142,118 @@ def test_popcount_mismatch_detected():
     raw[idx + 1] ^= 0x08
     with pytest.raises(FormatError):
         deserialize(bytes(raw))
+
+
+# sha256 of serialize() for one fixed checkpoint per record shape, taken from
+# the version-1 writer: a change to the wire bytes of any record shows here.
+_GOLDEN = {
+    "dense-f32": (lambda w: dense_record("w", w),
+                  "2cb1e5c74af7635ef52f7584e996a21f8676ea500e34b2c7b81c4e72fe08ba06"),
+    "sparse": (lambda w: sparse_record("w", w),
+               "0be4689bb1fe189b29f512e1adf5c0ed41dbf6c318288b4d101c6243c3c89f8e"),
+    "q8-bitmap": (lambda w: q8_record("w", w, scale=1.0 / 127, with_bitmap=True),
+                  "7555042f9ec5733e4b83406fc80cc3096d8b5fdda7f8519a3dfc26b874e63421"),
+    "q8-dense": (lambda w: q8_record("w", w, scale=1.0 / 127, with_bitmap=False),
+                 "6312ab894ae7906b0d95b7d968721ae45e6c1a936bc2aae658165c73d5fe84fc"),
+}
+
+
+def _golden_tensor():
+    w = np.linspace(-1.0, 1.0, 15, dtype=np.float32).reshape(3, 5)
+    w[:, 1:4] = 0.0
+    return w
+
+
+def _golden_raw(shape, **extra_records):
+    records = {"w": _GOLDEN[shape][0](_golden_tensor()), **extra_records}
+    return serialize(Checkpoint("golden", small_model().config, records, {"loss": 0.5},
+                                bytes(range(32))))
+
+
+@pytest.mark.parametrize("shape", sorted(_GOLDEN))
+def test_serialize_golden(shape):
+    raw = _golden_raw(shape)
+    assert hashlib.sha256(raw).hexdigest() == _GOLDEN[shape][1]
+    assert serialize(deserialize(raw)) == raw
+
+
+def _mixed_checkpoint():
+    """Every record shape: int8 with and without a bitmap, sparse and dense f32."""
+    model = small_model()
+    prune_step(model, None, 0.9)
+    q8_names = model.prunable_parameters()[:6] + ["embeddings.token"]
+    ckpt = checkpoint_from_model(model, "qat", {"val_loss": 0.25, "ranges": {"a": [-1.0, 2.5]}},
+                                 bytes(range(32)), q8_names=q8_names)
+    assert {(r.storage, r.bitmap is None) for r in ckpt.tensors.values()} == {
+        (DENSE_F32, True), (SPARSE, False), (Q8, False), (Q8, True)}
+    return ckpt
+
+
+def test_every_truncation_is_format_error():
+    raw = serialize(_mixed_checkpoint())
+    for n in range(len(raw)):
+        with pytest.raises(FormatError, match="offset"):
+            deserialize(raw[:n])
+
+
+def test_trailing_bytes_rejected():
+    raw = serialize(_mixed_checkpoint())
+    with pytest.raises(FormatError, match=f"trailing bytes at offset {len(raw)}"):
+        deserialize(raw + b"\x00")
+
+
+def test_corruptions_load_exactly_or_raise_format_error():
+    """Seeded 3-byte corruptions: each raises FormatError, or loads a
+    checkpoint that serializes back to exactly the corrupted bytes."""
+    raw = serialize(_mixed_checkpoint())
+    rng = np.random.Generator(np.random.PCG64(0))
+    outcomes = {"loaded": 0, "rejected": 0}
+    for _ in range(3000):
+        bad = bytearray(raw)
+        for pos in rng.integers(0, len(raw), 3):
+            bad[pos] = int(rng.integers(0, 256))
+        try:
+            back = deserialize(bytes(bad))
+        except FormatError as exc:
+            assert "offset" in str(exc)
+            outcomes["rejected"] += 1
+            continue
+        assert serialize(back) == bytes(bad)
+        outcomes["loaded"] += 1
+    assert outcomes["loaded"] and outcomes["rejected"]
+
+
+_TAG = b"\x01\x00w\x02" + struct.pack("<2I", 3, 5)  # name, ndim and dims of "w"
+_SCALE = struct.pack("<f", 1.0 / 127)
+_BITMAP = np.packbits(_golden_tensor().reshape(-1) != 0).tobytes()
+
+
+@pytest.mark.parametrize("shape,old,new,error", [
+    ("dense-f32", b"golden", b"gold\xffn", "bad UTF-8 string"),
+    ("dense-f32", b"has_pooler=False", b"has_pooler=false", "bad model config"),
+    ("dense-f32", b"heads=2", b"heads=0", "bad model config"),
+    ("dense-f32", b"vocab=16", b"vocab=1x", "bad model config"),
+    ("dense-f32", b'{"loss": 0.5}', b'["loss", 0.5]', "bad metrics"),
+    ("dense-f32", b'{"loss": 0.5}', b'{"loss":0.50}', "bad metrics"),
+    ("dense-f32", b'{"loss": 0.5}', b'{"loss": 0.5,', "bad metrics"),
+    ("dense-f32", struct.pack("<I", 13) + b'{"loss": 0.5}',
+     struct.pack("<I", 100_000) + b"[" * 100_000, "bad metrics"),
+    ("dense-f32", _TAG + b"\x00", _TAG + b"\x03", "unknown storage kind 3"),
+    ("q8-bitmap", _SCALE + bytes(4) + b"\x01", _SCALE + bytes(4) + b"\x02", "bad int8 header"),
+    ("q8-dense", _SCALE, struct.pack("<f", float("nan")), "bad int8 header"),
+    ("q8-dense", _SCALE, struct.pack("<f", 0.0), "bad int8 header"),
+    ("sparse", _BITMAP, _BITMAP[:1] + bytes([_BITMAP[1] | 1]), "bitmap popcount mismatch"),
+], ids=["stage-utf8", "config-bool", "config-heads-0", "config-int", "metrics-array",
+        "metrics-noncanonical", "metrics-bad-json", "metrics-deep-nesting", "storage-kind",
+        "int8-bitmap-flag", "int8-scale-nan", "int8-scale-zero", "bitmap-padding"])
+def test_corrupt_field_is_format_error(shape, old, new, error):
+    raw = _golden_raw(shape)
+    assert raw.count(old) == 1
+    with pytest.raises(FormatError, match=f"{error} at offset"):
+        deserialize(raw.replace(old, new))
+
+
+def test_duplicate_tensor_name_rejected():
+    raw = _golden_raw("dense-f32", v=dense_record("v", _golden_tensor()))
+    with pytest.raises(FormatError, match="duplicate tensor 'w' at offset"):
+        deserialize(raw.replace(b"\x01\x00v", b"\x01\x00w"))

@@ -80,6 +80,20 @@ def test_report_command(workdir, capsys):
     assert "payload size ratio" in out
 
 
+@pytest.mark.parametrize("corrupt", ["truncated", "trailing", "bad-utf8-stage", "no-such-tensor"])
+def test_report_on_corrupt_file_is_one_line_error(corrupt, workdir, tmp_path, capsys):
+    raw = (workdir / "quant.ckpt").read_bytes()
+    bad = {"truncated": raw[:len(raw) // 2], "trailing": raw + b"\x00",
+           "bad-utf8-stage": raw[:8] + b"\xff" + raw[9:],
+           "no-such-tensor": raw.replace(b"layer.0.q.weight", b"layer.0.q.wfight", 1)}[corrupt]
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(bad)
+    assert main(["report", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_schedule_export_command(workdir, capsys):
     rc = main(["schedule-export", "--config", str(workdir / "prune.cfg"),
                "--out", str(workdir / "sched.csv")])

@@ -76,12 +76,36 @@ def test_student_prune_logs_schedule(stage, sparse_ckpt, teacher_ckpt):
         assert actual <= target + 1e-9
 
 
+@pytest.mark.parametrize("interval", [1, 3, 7])
+@pytest.mark.parametrize("stage", ["student-prune", "finetune-prune-baseline"])
+def test_pruning_meets_target_for_any_interval(stage, interval, teacher_ckpt):
+    """The freeze step prunes too, so the frozen pattern holds floor(s*n)
+    zeros also when `interval` does not divide the pruning window."""
+    cfg = default_config(stage, seed=2, steps=30, kd_enabled=stage == "student-prune",
+                         pruning=SparsitySchedule(0.0, 0.9, 0, 15, 20, interval))
+    run = run_student_prune if stage == "student-prune" else run_finetune_prune_baseline
+    ckpt, _ = run(cfg, teacher_ckpt)
+    for name in prunable_parameter_names(ckpt.model_config):
+        w = ckpt.tensors[name].to_dense()
+        assert int((w == 0).sum()) == int(np.floor(0.9 * w.size)), name
+
+
 def test_student_prune_encoder_mismatch(teacher_ckpt):
     cfg = default_config("student-prune", seed=2)
     from dataclasses import replace
     cfg = replace(cfg, model=replace(cfg.model, num_layers=1))
     with pytest.raises(ConfigError, match="num_layers"):
         run_student_prune(cfg, teacher_ckpt)
+
+
+@pytest.mark.parametrize("stage", ["transfer", "qat", "finetune-prune-baseline"])
+def test_task_stage_encoder_mismatch(stage, sparse_ckpt):
+    run = {"transfer": run_transfer, "qat": run_qat,
+           "finetune-prune-baseline": run_finetune_prune_baseline}[stage]
+    cfg = default_config(stage, seed=4, kd_enabled=False)
+    cfg = replace(cfg, model=replace(cfg.model, hidden=64))
+    with pytest.raises(ConfigError, match="mismatch on hidden: 64 vs 32"):
+        run(cfg, sparse_ckpt)
 
 
 def test_transfer_locks_pattern(sparse_ckpt, finetuned_ckpt):

@@ -4,22 +4,22 @@ import pytest
 from sparsekit import tensor as T
 from sparsekit.tensor import (ContractError, ShapeError, Tensor,
                               UnsupportedPrimitiveError, backward,
-                              eval_primitive, finite_diff_check, seeded_init)
+                              finite_diff_check, seeded_init)
 
 
 def test_matmul_identity():
     a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32))
-    out = eval_primitive("matmul", [a, Tensor(np.eye(2, dtype=np.float32))])
+    out = T.matmul(a, Tensor(np.eye(2, dtype=np.float32)))
     np.testing.assert_array_equal(out.values, a.values)
 
 
 def test_softmax_symmetry():
-    out = eval_primitive("softmax-last-axis", [Tensor(np.zeros(2, dtype=np.float32))])
+    out = T.softmax_last_axis(Tensor(np.zeros(2, dtype=np.float32)))
     np.testing.assert_allclose(out.values, [0.5, 0.5])
 
 
 def test_layer_norm_hand_example():
-    out = eval_primitive("layer-norm-last-axis", [Tensor(np.array([1.0, 3.0]))], {"eps": 1e-5})
+    out = T.layer_norm_last_axis(Tensor(np.array([1.0, 3.0])), eps=1e-5)
     np.testing.assert_allclose(out.values, [-1.0, 1.0], atol=1e-4)
 
 
@@ -31,16 +31,16 @@ def test_softmax_rows_normalized_and_nonnegative():
     np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-6)
 
 
-def test_unknown_primitive():
-    with pytest.raises(UnsupportedPrimitiveError):
-        eval_primitive("conv2d", [])
+def test_unknown_init_scheme():
+    with pytest.raises(UnsupportedPrimitiveError, match="conv2d"):
+        seeded_init((2, 2), "conv2d", 1)
 
 
 def test_shape_error_names_primitive():
     a = Tensor(np.zeros((2, 3), dtype=np.float32))
     b = Tensor(np.zeros((2, 3), dtype=np.float32))
     with pytest.raises(ShapeError, match="matmul"):
-        eval_primitive("matmul", [a, b])
+        T.matmul(a, b)
 
 
 def test_backward_mean_is_uniform():

@@ -24,7 +24,7 @@ from typing import Collection, Dict, Optional
 
 import numpy as np
 
-from .model import EncoderModel, ModelConfig, build_model
+from .model import EncoderModel, ModelConfig, build_model, parameter_specs
 from .quant import QuantParams, dequantize, quantize_ints, weight_qparams
 
 MAGIC = b"POFA"
@@ -131,15 +131,34 @@ def checkpoint_from_model(model: EncoderModel, stage: str, metrics: Optional[dic
 
 def model_from_checkpoint(ckpt: Checkpoint, head_kind: Optional[str] = None,
                           num_labels: Optional[int] = None, seed: int = 0) -> EncoderModel:
-    """Rebuild a dense float32 model; missing head params are freshly seeded."""
+    """Rebuild a dense float32 model; head params that the checkpoint's
+    config does not describe (a head `head_kind` swaps in) are freshly seeded.
+
+    Records of a head that `head_kind` drops are skipped. Every other record
+    must name a parameter of the model and have its shape, and every
+    parameter the checkpoint's config describes must have a record, else
+    FormatError.
+    """
     cfg = ckpt.model_config
     if head_kind is not None or num_labels is not None:
         cfg = replace(cfg, head_kind=head_kind or cfg.head_kind,
                       num_labels=num_labels or cfg.num_labels)
     model = build_model(cfg, seed=seed)
+    described = {name for name, _, _ in parameter_specs(ckpt.model_config)}
+    dropped = described - model.parameters.keys()
     for name, rec in ckpt.tensors.items():
-        if name in model.parameters:
-            model.parameters[name].values = rec.to_dense()
+        p = model.parameters.get(name)
+        if p is None:
+            if name in dropped:
+                continue
+            raise FormatError(f"tensor {name!r} is not a parameter of the model")
+        if tuple(rec.shape) != p.shape:
+            raise FormatError(f"tensor {name!r} has shape {tuple(rec.shape)}, "
+                              f"the model's is {p.shape}")
+        p.values = rec.to_dense()
+    missing = [name for name in model.parameters if name in described and name not in ckpt.tensors]
+    if missing:
+        raise FormatError(f"checkpoint has no tensor {missing[0]!r}")
     return model
 
 

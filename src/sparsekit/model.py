@@ -8,9 +8,8 @@ Parameter names are a stable public contract:
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -114,26 +113,17 @@ class EncoderModel:
         params = {n: Tensor(p.values.astype(dtype), requires_grad=True) for n, p in self.parameters.items()}
         return EncoderModel(self.config, params)
 
-    def zero_grads(self):
-        for p in self.parameters.values():
-            p.zero_grad()
-
     # -- forward ----------------------------------------------------------
 
     def _linear(self, x: Tensor, prefix: str, quant=None) -> Tensor:
         w = self.parameters[prefix + ".weight"]
         b = self.parameters[prefix + ".bias"]
-        if quant is not None:
-            w = quant.quantize_weight(prefix + ".weight", w)
-        out = T.add(T.matmul(x, w), b)
-        if quant is not None and (prefix + ".weight") in quant.weight_names:
+        if quant is None:
+            return T.linear(x, w, b)
+        out = T.linear(x, quant.quantize_weight(prefix + ".weight", w), b)
+        if (prefix + ".weight") in quant.weight_names:
             out = quant.quantize_activation(prefix + ".out", out)
         return out
-
-    def _apply_ln(self, x: Tensor, prefix: str) -> Tensor:
-        normed = T.layer_norm_last_axis(x)
-        return T.add(T.mul(normed, self.parameters[prefix + ".gain"]),
-                     self.parameters[prefix + ".bias"])
 
     def encode(self, input_ids: np.ndarray, attention_mask: np.ndarray, quant=None) -> Tensor:
         input_ids = np.asarray(input_ids)
@@ -143,40 +133,34 @@ class EncoderModel:
         batch, seq = input_ids.shape
         if seq > cfg.max_seq:
             raise DataError(f"sequence length {seq} exceeds max_seq {cfg.max_seq}")
-        dtype = self.parameters["embeddings.token"].dtype
-        tok = T.embedding_lookup(self.parameters["embeddings.token"], input_ids)
-        pos = T.embedding_lookup(self.parameters["embeddings.position"],
-                                 np.broadcast_to(np.arange(seq), (batch, seq)))
-        x = self._apply_ln(T.add(tok, pos), "embeddings.ln")
+        params = self.parameters
 
-        dh = cfg.hidden // cfg.heads
+        def add_ln(x: Tensor, y: Tensor, prefix: str) -> Tensor:
+            return T.add_layer_norm(x, y, params[prefix + ".gain"], params[prefix + ".bias"])
+
+        tok = T.embedding_lookup(params["embeddings.token"], input_ids)
+        pos = T.embedding_lookup(params["embeddings.position"],
+                                 np.broadcast_to(np.arange(seq), (batch, seq)))
+        x = add_ln(tok, pos, "embeddings.ln")
+
         neg = (1.0 - np.asarray(attention_mask)) * -1e9
-        attn_bias = Tensor(neg[:, None, None, :].astype(dtype))
+        mask_bias = neg[:, None, None, :].astype(params["embeddings.token"].dtype)
 
         for i in range(cfg.num_layers):
             p = f"layer.{i}"
-
-            def split_heads(t):
-                t = T.reshape(t, (batch, seq, cfg.heads, dh))
-                return T.transpose(t, (0, 2, 1, 3))
-
-            q = split_heads(self._linear(x, f"{p}.q", quant))
-            k = split_heads(self._linear(x, f"{p}.k", quant))
-            v = split_heads(self._linear(x, f"{p}.v", quant))
-            scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-            probs = T.softmax_last_axis(T.add(scores, attn_bias))
-            ctx = T.reshape(T.transpose(T.matmul(probs, v), (0, 2, 1, 3)), (batch, seq, cfg.hidden))
-            x = self._apply_ln(T.add(x, self._linear(ctx, f"{p}.attn_out", quant)), f"{p}.ln1")
+            ctx = T.attention(self._linear(x, f"{p}.q", quant), self._linear(x, f"{p}.k", quant),
+                              self._linear(x, f"{p}.v", quant), mask_bias, cfg.heads)
+            x = add_ln(x, self._linear(ctx, f"{p}.attn_out", quant), f"{p}.ln1")
             hmid = T.gelu(self._linear(x, f"{p}.ffn_in", quant))
-            x = self._apply_ln(T.add(x, self._linear(hmid, f"{p}.ffn_out", quant)), f"{p}.ln2")
+            x = add_ln(x, self._linear(hmid, f"{p}.ffn_out", quant), f"{p}.ln2")
         return x
 
     def forward_mlm(self, batch, quant=None) -> ForwardResult:
         if self.config.head_kind not in ("mlm", "both"):
             raise ConfigError("model has no MLM head")
         hidden = self.encode(batch.input_ids, batch.attention_mask, quant)
-        logits = T.add(T.matmul(hidden, self.parameters["mlm_head.weight"]),
-                       self.parameters["mlm_head.bias"])
+        logits = T.linear(hidden, self.parameters["mlm_head.weight"],
+                          self.parameters["mlm_head.bias"])
         b, s = batch.input_ids.shape
         flat = T.reshape(logits, (b * s, self.config.vocab))
         loss = T.cross_entropy_with_targets(flat, batch.labels.reshape(-1))
@@ -189,8 +173,8 @@ class EncoderModel:
             raise ConfigError("model has no classification head")
         if self.config.has_pooler:
             cls = T.gelu(self._linear(cls, "pooler", quant))
-        return T.add(T.matmul(cls, self.parameters["classify_head.weight"]),
-                     self.parameters["classify_head.bias"])
+        return T.linear(cls, self.parameters["classify_head.weight"],
+                        self.parameters["classify_head.bias"])
 
     def forward_classify(self, batch, quant=None) -> ForwardResult:
         hidden = self.encode(batch.input_ids, batch.attention_mask, quant)

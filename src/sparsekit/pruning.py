@@ -108,12 +108,6 @@ def lock_pattern(model) -> MaskSet:
     return MaskSet(masks)
 
 
-def masked_grad(grad: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    if grad.shape != mask.shape:
-        raise ContractError(f"grad shape {grad.shape} != mask shape {mask.shape}")
-    return grad * mask
-
-
 @dataclass
 class SparsityReport:
     per_tensor: Dict[str, float]

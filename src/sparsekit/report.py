@@ -8,6 +8,7 @@ from .checkpoint import Checkpoint, FormatError, TensorRecord
 from .model import prunable_parameter_names
 from .pruning import SparsitySchedule, target_sparsity
 from .schedule import LrSchedule, lr_base, lr_rewound
+from .tensor import ContractError
 
 
 @dataclass
@@ -71,6 +72,9 @@ def payload_size_ratio(a: Checkpoint, b: Checkpoint) -> float:
     """Encoder payload bytes of A divided by those of B."""
     pa = sum(rec.payload_bytes() for _, rec in _encoder_records(a))
     pb = sum(rec.payload_bytes() for _, rec in _encoder_records(b))
+    if pb == 0:
+        raise ContractError("payload size ratio: the compared checkpoint has no encoder "
+                            "payload bytes (every prunable weight is zero)")
     return pa / pb
 
 

@@ -226,6 +226,80 @@ def layer_norm_last_axis(a: Tensor, eps: float = 1e-5) -> Tensor:
     return _node(xhat, (a,), back)
 
 
+# -- fused layer primitives -------------------------------------------------
+#
+# One tape node each for the model's linear layers, residual layer norms and
+# attention cores. Forward and backward run the same array ops, in the same
+# order, as the unfused primitives they replace, so results are bit-equal.
+
+def _mean_last(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=-1, keepdims=True) by numpy's own formula, minus its wrappers."""
+    out = np.add.reduce(a, axis=-1, keepdims=True)
+    return np.true_divide(out, np.intp(a.shape[-1]), out=out, casting="unsafe")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for x of shape (..., n_in), w (n_in, n_out) and b (n_out,)."""
+    if x.values.ndim < 2 or w.values.ndim != 2 or x.shape[-1] != w.shape[0] \
+            or b.shape != (w.shape[1],):
+        raise ShapeError(f"linear: shapes {x.shape}, {w.shape}, {b.shape} do not chain")
+    xv, wv = x.values, w.values
+
+    def back(g):
+        gw = _unbroadcast(np.matmul(np.swapaxes(xv, -1, -2), g), w.shape)
+        return np.matmul(g, np.swapaxes(wv, -1, -2)), gw, _unbroadcast(g, b.shape)
+
+    return _node(np.matmul(xv, wv) + b.values, (x, w, b), back)
+
+
+def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """layer_norm(x + y) * gain + bias over the last axis."""
+    if x.shape != y.shape or gain.shape != x.shape[-1:] or bias.shape != gain.shape:
+        raise ShapeError(f"add-layer-norm: shapes {x.shape}, {y.shape}, {gain.shape}, "
+                         f"{bias.shape} do not match")
+    d = x.values + y.values
+    d -= _mean_last(d)
+    inv = 1.0 / np.sqrt(_mean_last(np.square(d)) + eps)
+    xhat = d * inv
+    gv = gain.values
+
+    def back(g):
+        gx = g * gv
+        dx = inv * (gx - _mean_last(gx) - xhat * _mean_last(gx * xhat))
+        return dx, dx, _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape)
+
+    return _node(xhat * gv + bias.values, (x, y, gain, bias), back)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask_bias: np.ndarray, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention of (batch, seq, hidden)
+    projections: split heads, softmax(q k^T / sqrt(d_head) + mask_bias),
+    weight v, merge heads. mask_bias is a constant array that broadcasts
+    against the (batch, heads, seq, seq) scores."""
+    if q.values.ndim != 3 or k.shape != q.shape or v.shape != q.shape or q.shape[2] % heads:
+        raise ShapeError(f"attention: shapes {q.shape}, {k.shape}, {v.shape} with {heads} heads")
+    batch, seq, hidden = q.shape
+    split = (batch, seq, heads, hidden // heads)
+    qh, kh, vh = (t.values.reshape(split).transpose(0, 2, 1, 3) for t in (q, k, v))
+    c = 1.0 / math.sqrt(split[3])
+    z = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * c + mask_bias
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+
+    def merge(t):
+        return t.transpose(0, 2, 1, 3).reshape(q.shape)
+
+    def back(g):
+        gh = g.reshape(split).transpose(0, 2, 1, 3)
+        gs = np.matmul(gh, np.swapaxes(vh, -1, -2))
+        gz = s * (gs - (gs * s).sum(axis=-1, keepdims=True)) * c
+        gkt = np.matmul(np.swapaxes(qh, -1, -2), gz)
+        return merge(np.matmul(gz, kh)), merge(gkt.transpose(0, 1, 3, 2)), \
+            merge(np.matmul(np.swapaxes(s, -1, -2), gh))
+
+    return _node(merge(np.matmul(s, vh)), (q, k, v), back)
+
+
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids)
     if ids.min(initial=0) < 0 or (ids.size and ids.max() >= table.shape[0]):

@@ -79,6 +79,40 @@ def test_q8_record_roundtrip_with_bitmap():
     np.testing.assert_array_equal(back.tensors["w"].to_dense(), rec.to_dense())
 
 
+def test_model_from_checkpoint_rejects_unknown_tensor():
+    raw = serialize(checkpoint_from_model(small_model(), "teacher"))
+    renamed = deserialize(raw.replace(b"layer.0.q.weight", b"layer.0.q.wfight", 1))
+    with pytest.raises(FormatError, match="'layer.0.q.wfight' is not a parameter"):
+        model_from_checkpoint(renamed)
+
+
+def test_model_from_checkpoint_rejects_wrong_shape():
+    ckpt = checkpoint_from_model(small_model(), "teacher")
+    assert ckpt.tensors["layer.0.q.weight"].shape == (8, 8)
+    ckpt.tensors["layer.0.q.weight"] = dense_record("layer.0.q.weight",
+                                                    np.ones((4, 16), dtype=np.float32))
+    with pytest.raises(FormatError, match=r"has shape \(4, 16\), the model's is \(8, 8\)"):
+        model_from_checkpoint(deserialize(serialize(ckpt)))
+
+
+def test_model_from_checkpoint_rejects_missing_tensor():
+    ckpt = checkpoint_from_model(small_model(), "teacher")
+    del ckpt.tensors["layer.0.q.weight"]
+    with pytest.raises(FormatError, match="checkpoint has no tensor 'layer.0.q.weight'"):
+        model_from_checkpoint(deserialize(serialize(ckpt)))
+
+
+def test_model_from_checkpoint_skips_only_the_dropped_head():
+    ckpt = checkpoint_from_model(small_model(), "teacher")
+    # loading as classify drops the MLM head: its records are skipped
+    assert "mlm_head.weight" not in model_from_checkpoint(ckpt, head_kind="classify").parameters
+    # a head record that the checkpoint's own config does not describe is an error
+    ckpt.tensors["classify_head.bias"] = dense_record("classify_head.bias",
+                                                      np.zeros(2, dtype=np.float32))
+    with pytest.raises(FormatError, match="classify_head.bias"):
+        model_from_checkpoint(ckpt)
+
+
 def test_q8_record_dense_payload():
     w = np.linspace(-1, 1, 8, dtype=np.float32).reshape(2, 4)
     rec = q8_record("w", w, scale=1.0 / 127, with_bitmap=False)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sparsekit.checkpoint import load_checkpoint
+from sparsekit.checkpoint import checkpoint_from_model, load_checkpoint, save_checkpoint
 from sparsekit.cli import main
+from sparsekit.model import ModelConfig, build_model
 
 SMALL_MODEL = """
 [model]
@@ -92,6 +93,19 @@ def test_report_on_corrupt_file_is_one_line_error(corrupt, workdir, tmp_path, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_report_compare_fully_pruned_is_one_line_error(tmp_path, capsys):
+    model = build_model(ModelConfig(num_layers=1, hidden=8, heads=2, ffn_dim=16, vocab=16,
+                                    max_seq=8), seed=0)
+    save_checkpoint(checkpoint_from_model(model, "teacher-prep"), tmp_path / "dense.ckpt")
+    for name in model.prunable_parameters():
+        model.parameters[name].values[...] = 0.0
+    save_checkpoint(checkpoint_from_model(model, "student-prune"), tmp_path / "pruned.ckpt")
+    rc = main(["report", str(tmp_path / "dense.ckpt"), "--compare", str(tmp_path / "pruned.ckpt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: payload size ratio") and err.count("\n") == 1
 
 
 def test_schedule_export_command(workdir, capsys):

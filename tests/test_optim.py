@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
+from sparsekit import optim
 from sparsekit.optim import Adam
 from sparsekit.pruning import MaskSet
-from sparsekit.tensor import Tensor
+from sparsekit.tensor import ContractError, Tensor
 
 
 def _param(values, name="w.weight"):
@@ -83,3 +85,83 @@ def test_masked_grad_does_not_pollute_momentum():
     opt.step(1e-2, mask)
     assert opt.m["w.weight"][0, 0] == 0.0
     assert opt.v["w.weight"][0, 0] == 0.0
+
+
+def _reference_step(params, state, t, lr, masks, weight_decay, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam as a loop over the parameters, one at a time."""
+    bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    for name, p in params.items():
+        g = p.grad
+        if g is None:
+            continue
+        mask = masks[name] if masks is not None and name in masks else None
+        if mask is not None:
+            g = g * mask
+        m, v = state[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        update = lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        if weight_decay and name.endswith(".weight") and p.values.ndim == 2:
+            update = update + lr * weight_decay * p.values
+        if mask is not None:
+            update = update * mask
+        p.values -= update
+
+
+@pytest.mark.parametrize("run_size", [None, 1, 20])
+def test_flat_step_bit_equal_to_per_parameter_loop(run_size, monkeypatch):
+    if run_size is not None:  # runs of one parameter each, or a few parameters
+        monkeypatch.setattr(optim, "RUN_SIZE", run_size)
+    rng = np.random.Generator(np.random.PCG64(3))
+    shapes = {"a.weight": (4, 3), "a.bias": (3,), "b.weight": (3, 5), "emb": (6, 2)}
+    init = {n: rng.standard_normal(s).astype(np.float32) for n, s in shapes.items()}
+    # signed zeros in decayed and undecayed tensors, and steps at learning
+    # rate 0 (as in a rewound prune window)
+    init["a.weight"][0] = -0.0
+    init["a.bias"][:2] = (-0.0, 0.0)
+    init["emb"][1:3] = -0.0
+    flat = {n: Tensor(v.copy(), requires_grad=True) for n, v in init.items()}
+    ref = {n: Tensor(v.copy(), requires_grad=True) for n, v in init.items()}
+    state = {n: (np.zeros(s, np.float32), np.zeros(s, np.float32)) for n, s in shapes.items()}
+    opt = Adam(flat, weight_decay=0.01)
+    mask_a = MaskSet({"a.weight": (rng.random((4, 3)) > 0.5).astype(np.float32)})
+    mask_b = MaskSet({"b.weight": (rng.random((3, 5)) > 0.3).astype(np.float32),
+                      "a.bias": np.array([1.0, 0.0, 1.0], dtype=np.float32)})
+    for t in range(1, 13):
+        masks = (None, mask_a, mask_a, mask_b)[t % 4]
+        lr = 0.0 if t % 4 == 2 else 0.01 * t
+        for n, s in shapes.items():
+            g = None if (n == "b.weight" and t % 3 == 0) or (n == "emb" and t < 4) \
+                else rng.standard_normal(s).astype(np.float32)
+            flat[n].grad, ref[n].grad = g, g
+        opt.step(lr, masks)
+        _reference_step(ref, state, t, lr, masks, 0.01)
+        for n in shapes:
+            assert flat[n].values.tobytes() == ref[n].values.tobytes(), (t, n)
+            assert opt.m[n].tobytes() == state[n][0].tobytes(), (t, n)
+            assert opt.v[n].tobytes() == state[n][1].tobytes(), (t, n)
+
+
+def test_parameters_keep_their_own_arrays():
+    params = {"w.weight": Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)}
+    opt = Adam(params)
+    params["w.weight"].values = np.full((2, 2), 3.0, dtype=np.float32)  # as prune_step rebinds
+    params["w.weight"].grad = np.ones((2, 2), dtype=np.float32)
+    opt.step(0.1)
+    assert (params["w.weight"].values < 3.0).all()
+
+
+def test_mixed_parameter_dtypes_rejected():
+    params = {"a": Tensor(np.ones(2, dtype=np.float32), requires_grad=True),
+              "b": Tensor(np.ones(2, dtype=np.float64), requires_grad=True)}
+    with pytest.raises(ContractError, match="mix dtypes"):
+        Adam(params)
+
+
+def test_mask_shape_mismatch_is_contract_error():
+    params = _param(np.ones((2, 2)))
+    params["w.weight"].grad = np.ones((2, 2), dtype=np.float32)
+    with pytest.raises(ContractError, match=r"mask shape \(4,\) != parameter shape \(2, 2\)"):
+        Adam(params).step(0.1, MaskSet({"w.weight": np.ones(4, dtype=np.float32)}))

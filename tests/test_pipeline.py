@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -210,3 +211,36 @@ def test_cached_teacher_logits_match_forward_other_shape():
     cfg = replace(base, model=model_cfg, seq_len=12)
     teacher = checkpoint_from_model(build_model(model_cfg, seed=11), "transfer")
     _assert_cached_teacher_matches_forward(cfg, teacher)
+
+
+# sha256 of serialize(ckpt) and of the metrics CSV for each stage of a short
+# seeded chain: student-prune (KD, interval 2), KD transfer, then qat. Taken
+# before the fused layer primitives and the flat-moment Adam existed; every
+# speed-up of the training path must keep these bytes.
+GOLDEN_CHAIN = {
+    "student-prune": ("db72ed53079218d90445dc99a2f55fb7569582c0652b9ddd1dd211c982dca903",
+                      "a5b7845e41139092020ae1683b359549e8746a3d215122a772d8c2dae06e2820"),
+    "transfer": ("5d55a3076a31578f9faaf1f2ee75b850e40995ecda0c1c95e9fa67b730d49bc3",
+                 "10842936962430d1c6dc544a87edaa952a0553f3521e9805ff4df1c2726ca38d"),
+    "qat": ("8b5958e2cb81a6ec993c994d17a4f022a0be74440b0789ee4e822d5d4c6a2822",
+            "da6cfbbf26675c1f7e7a4f933296f05b143816bc9bb4a45dd543ad3bf655ea5a"),
+}
+
+
+def _golden_chain(teacher_ckpt, task_teacher_ckpt):
+    prune_cfg = default_config("student-prune", seed=21, steps=24,
+                               pruning=SparsitySchedule(0.0, 0.8, 0, 12, 16, 2))
+    sparse, prune_metrics = run_student_prune(prune_cfg, teacher_ckpt)
+    tuned, transfer_metrics = run_transfer(default_config("transfer", seed=22, steps=24),
+                                           sparse, teacher_ckpt=task_teacher_ckpt)
+    export, qat_metrics = run_qat(default_config("qat", seed=23, steps=16), tuned,
+                                  teacher_ckpt=task_teacher_ckpt)
+    runs = {"student-prune": (sparse, prune_metrics), "transfer": (tuned, transfer_metrics),
+            "qat": (export, qat_metrics)}
+    return {stage: (hashlib.sha256(serialize(ckpt)).hexdigest(),
+                    hashlib.sha256(metrics.to_csv_text().encode()).hexdigest())
+            for stage, (ckpt, metrics) in runs.items()}
+
+
+def test_golden_training_chain(teacher_ckpt, task_teacher_ckpt):
+    assert _golden_chain(teacher_ckpt, task_teacher_ckpt) == GOLDEN_CHAIN

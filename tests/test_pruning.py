@@ -3,7 +3,7 @@ import pytest
 
 from sparsekit.model import ModelConfig, build_model
 from sparsekit.pruning import (MaskSet, SparsitySchedule, apply_masks,
-                               lock_pattern, masked_grad, prune_step,
+                               lock_pattern, prune_step,
                                sparsity_report, target_sparsity)
 from sparsekit.tensor import ContractError
 
@@ -161,15 +161,6 @@ def test_lock_pattern_sparsity_matches():
     for n in masks.names():
         size = masks[n].size
         assert (masks[n] == 0).sum() == int(np.floor(0.9 * size))
-
-
-def test_masked_grad():
-    np.testing.assert_array_equal(
-        masked_grad(np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 1.0])), [1, 0, 3])
-    g = np.array([1.0, 2.0])
-    np.testing.assert_array_equal(masked_grad(g, np.ones(2)), g)
-    with pytest.raises(ContractError):
-        masked_grad(np.ones(3), np.ones(4))
 
 
 def test_sparsity_report():

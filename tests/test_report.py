@@ -8,6 +8,7 @@ from sparsekit.pruning import SparsitySchedule
 from sparsekit.report import (compression_report, payload_size_ratio,
                               schedule_export)
 from sparsekit.schedule import LrSchedule, RewindWindow
+from sparsekit.tensor import ContractError
 
 
 def _sized_model(seed=0):
@@ -67,6 +68,17 @@ def test_payload_size_ratio():
     sparse85 = checkpoint_from_model(sparse_model, "student-prune")
     # 85% sparsity in f32 keeps 15% of the bytes... vs int8 that would be 0.375
     assert payload_size_ratio(sparse85, dense) == pytest.approx(0.15, abs=1e-9)
+
+
+def test_payload_size_ratio_against_fully_pruned_is_contract_error():
+    model = _sized_model()
+    dense = checkpoint_from_model(model, "teacher-prep")
+    for name in model.prunable_parameters():
+        model.parameters[name].values[...] = 0.0
+    pruned = checkpoint_from_model(model, "student-prune")
+    assert payload_size_ratio(pruned, dense) == 0.0
+    with pytest.raises(ContractError, match="no encoder payload bytes"):
+        payload_size_ratio(dense, pruned)
 
 
 def test_schedule_export_csv(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,107 @@ def test_finite_diff_embedding_lookup():
     coeff = rng.standard_normal((2, 2, 4))
     loss_fn = lambda: T.mean(T.mul(T.embedding_lookup(table, ids), coeff))
     assert finite_diff_check(loss_fn, {"t": table}, "t", eps=1e-4) < 1e-3
+
+
+# -- fused layer primitives -------------------------------------------------
+
+FUSED = ["linear-2d", "linear-3d", "add_layer_norm", "attention"]
+SMALL = {"batch": 2, "seq": 4, "hidden": 6, "out": 5, "heads": 2}
+DESK = {"batch": 16, "seq": 16, "hidden": 32, "out": 64, "heads": 4}  # the default model's
+
+
+def _padded_mask_bias(batch, seq, dtype):
+    """Additive attention mask; row i has i % 3 padded slots at the end."""
+    attention_mask = (np.arange(seq) < seq - np.arange(batch)[:, None] % 3).astype(np.int64)
+    return ((1.0 - attention_mask) * -1e9)[:, None, None, :].astype(dtype)
+
+
+def _fused_case(name, dtype, seed, batch, seq, hidden, out, heads):
+    """(inputs, fused forward, the unfused composition it replaced, loss):
+    the loss weights an output with a fixed random tensor."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    def leaf(*shape):
+        return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+
+    if name.startswith("linear"):
+        x_shape = (batch, hidden) if name == "linear-2d" else (batch, seq, hidden)
+        inputs = {"x": leaf(*x_shape), "w": leaf(hidden, out), "b": leaf(out)}
+        out_shape = x_shape[:-1] + (out,)
+        fused = lambda i: T.linear(i["x"], i["w"], i["b"])
+        unfused = lambda i: T.add(T.matmul(i["x"], i["w"]), i["b"])
+    elif name == "add_layer_norm":
+        inputs = {"x": leaf(batch, seq, hidden), "y": leaf(batch, seq, hidden),
+                  "gain": leaf(hidden), "bias": leaf(hidden)}
+        out_shape = (batch, seq, hidden)
+        fused = lambda i: T.add_layer_norm(i["x"], i["y"], i["gain"], i["bias"])
+        unfused = lambda i: T.add(T.mul(T.layer_norm_last_axis(T.add(i["x"], i["y"])),
+                                        i["gain"]), i["bias"])
+    else:
+        mask = _padded_mask_bias(batch, seq, dtype)
+        inputs = {n: leaf(batch, seq, hidden) for n in "qkv"}
+        out_shape = (batch, seq, hidden)
+        fused = lambda i: T.attention(i["q"], i["k"], i["v"], mask, heads)
+
+        def unfused(i):
+            # the encoder's attention before it was fused
+            dh = hidden // heads
+
+            def split(t):
+                return T.transpose(T.reshape(t, (batch, seq, heads, dh)), (0, 2, 1, 3))
+            q, k, v = split(i["q"]), split(i["k"]), split(i["v"])
+            scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+            probs = T.softmax_last_axis(T.add(scores, Tensor(mask)))
+            return T.reshape(T.transpose(T.matmul(probs, v), (0, 2, 1, 3)), out_shape)
+    coeff = rng.standard_normal(out_shape).astype(dtype)
+    return inputs, fused, unfused, lambda o: T.mean(T.mul(o, coeff))
+
+
+@pytest.mark.parametrize("name", FUSED)
+def test_fused_primitive_finite_diff(name):
+    inputs, fused, _, loss = _fused_case(name, np.float64, 11, **SMALL)
+    for param in inputs:
+        err = finite_diff_check(lambda: loss(fused(inputs)), inputs, param, eps=1e-4)
+        assert err < 1e-3, f"d/d{param} off by {err}"
+
+
+@pytest.mark.parametrize("dims", [SMALL, DESK], ids=["small", "desk"])
+@pytest.mark.parametrize("name", FUSED)
+def test_fused_primitive_bit_equal_to_unfused(name, dims):
+    """In float32 each fused forward, and each input gradient, has the bytes
+    of the unfused composition it replaced."""
+    inputs, fused, unfused, loss = _fused_case(name, np.float32, 13, **dims)
+    results = []
+    for build in (fused, unfused):
+        for t in inputs.values():
+            t.zero_grad()
+        out = build(inputs)
+        backward(loss(out))
+        results.append((out.values.tobytes(), {n: t.grad.tobytes() for n, t in inputs.items()}))
+    assert results[0][0] == results[1][0], "forward differs"
+    for n in inputs:
+        assert results[0][1][n] == results[1][1][n], f"d/d{n} differs"
+
+
+def test_fused_attention_ignores_padded_keys():
+    rng = np.random.Generator(np.random.PCG64(12))
+    q, k, v = (Tensor(rng.standard_normal((3, 4, 6))) for _ in range(3))
+    mask = _padded_mask_bias(3, 4, np.float64)
+    out = T.attention(q, k, v, mask, 2).values
+    # a padded key or value moves no output
+    k.values[1, 3] += 5.0
+    v.values[2, 2:] -= 7.0
+    np.testing.assert_array_equal(T.attention(q, k, v, mask, 2).values, out)
+
+
+def test_fused_primitive_shape_errors():
+    a = Tensor(np.zeros((2, 3, 4), dtype=np.float32))
+    with pytest.raises(ShapeError, match="linear"):
+        T.linear(a, Tensor(np.zeros((3, 5))), Tensor(np.zeros(5)))
+    with pytest.raises(ShapeError, match="add-layer-norm"):
+        T.add_layer_norm(a, Tensor(np.zeros((2, 3, 5))), Tensor(np.ones(4)), Tensor(np.zeros(4)))
+    with pytest.raises(ShapeError, match="attention"):
+        T.attention(a, a, a, np.zeros((2, 1, 1, 3)), 3)
 
 
 def test_seeded_init_zeros_and_ones():

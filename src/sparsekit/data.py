@@ -42,27 +42,33 @@ class Corpus:
 
 
 def build_synthetic_corpus(seed: int, num_sequences: int, vocab_size: int = 64,
-                           seq_len: int = 64, grammar: str = "markov-order-2") -> Corpus:
-    """Order-2 Markov token streams with skewed transitions, split 95/5."""
+                           seq_len: int = 64) -> Corpus:
+    """Order-2 Markov token streams with skewed transitions, split 95/5.
+
+    Each sequence draws its two start tokens, then one uniform per further
+    token, which picks from the context's CDF as `Generator.choice(k, p=...)`
+    would. Drawing the uniforms up front lets every sequence advance at once.
+    """
     if num_sequences < 1:
         raise ContractError("need at least one sequence")
-    if grammar != "markov-order-2":
-        raise ContractError(f"unknown grammar {grammar!r}")
     vocab = Vocab(vocab_size)
     regular = vocab.regular_ids
     k = regular.size
     rng = _rng("corpus", seed)
     # skewed per-context distributions so the stream has learnable structure
     trans = rng.dirichlet(np.full(k, 0.3), size=(k, k))
-    sequences = []
-    for _ in range(num_sequences):
-        a, b = rng.integers(0, k, size=2)
-        toks = [int(regular[a]), int(regular[b])]
-        for _ in range(seq_len - 2):
-            c = rng.choice(k, p=trans[a, b])
-            toks.append(int(regular[c]))
-            a, b = b, c
-        sequences.append(np.array(toks, dtype=np.int64))
+    body = max(seq_len - 2, 0)
+    toks = np.empty((num_sequences, 2 + body), dtype=np.int64)
+    u = np.empty((num_sequences, body))
+    for i in range(num_sequences):
+        toks[i, :2] = rng.integers(0, k, size=2)
+        u[i] = rng.random(body)
+    for t in range(body):
+        cdf = trans[toks[:, t], toks[:, t + 1]].cumsum(-1)
+        cdf /= cdf[:, -1:]
+        # entries <= u in a sorted row: searchsorted(u, side="right")
+        toks[:, t + 2] = (cdf <= u[:, t, None]).sum(axis=1)
+    sequences = list(regular[toks])
     n_train = min(num_sequences, max(1, round(0.95 * num_sequences)))
     return Corpus(vocab, sequences[:n_train], sequences[n_train:])
 

@@ -139,8 +139,7 @@ class EncoderModel:
             return T.add_layer_norm(x, y, params[prefix + ".gain"], params[prefix + ".bias"])
 
         tok = T.embedding_lookup(params["embeddings.token"], input_ids)
-        pos = T.embedding_lookup(params["embeddings.position"],
-                                 np.broadcast_to(np.arange(seq), (batch, seq)))
+        pos = T.position_embedding(params["embeddings.position"], batch, seq)
         x = add_ln(tok, pos, "embeddings.ln")
 
         neg = (1.0 - np.asarray(attention_mask)) * -1e9

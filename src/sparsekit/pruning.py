@@ -53,26 +53,31 @@ class MaskSet:
     def names(self):
         return list(self.masks.keys())
 
-    def zero_set_digest(self) -> bytes:
-        """Stable hash of the zero pattern, for pattern-lock checks."""
-        import hashlib
-
-        h = hashlib.sha256()
-        for name in sorted(self.masks):
-            h.update(name.encode())
-            h.update(np.packbits(self.masks[name].astype(bool).reshape(-1)).tobytes())
-        return h.digest()
-
 
 def _magnitude_mask(w: np.ndarray, ratio: float) -> np.ndarray:
-    """Zero the floor(ratio*n) smallest-|w| entries; ties pruned lowest flat index first."""
-    n = w.size
-    k = int(np.floor(ratio * n))
-    mask = np.ones(n, dtype=np.float32)
-    if k > 0:
-        order = np.argsort(np.abs(w.reshape(-1)), kind="stable")
-        mask[order[:k]] = 0.0
-    return mask.reshape(w.shape)
+    """Zero the floor(ratio*n) smallest-|w| entries; ties pruned lowest flat index first.
+
+    The k-th smallest magnitude is a threshold: every entry below it is
+    pruned, and the rest of the k come from the entries equal to it, in
+    flat-index order. NaN ranks as the largest magnitude.
+    """
+    k = int(np.floor(ratio * w.size))
+    if k == 0:
+        return np.ones(w.shape, dtype=np.float32)
+    a = np.abs(w.reshape(-1))
+    thr = np.sort(a)[k - 1]
+    if np.isnan(thr):
+        tie = np.isnan(a)
+        pruned = ~tie
+    else:
+        tie = a == thr
+        pruned = a < thr
+    extra = k - np.count_nonzero(pruned)
+    if extra == np.count_nonzero(tie):  # every tie is pruned
+        pruned |= tie
+    else:
+        pruned[np.flatnonzero(tie)[:extra]] = True
+    return (~pruned).astype(np.float32).reshape(w.shape)
 
 
 def prune_step(model, mask_set: MaskSet, ratio: float) -> MaskSet:
@@ -87,16 +92,6 @@ def prune_step(model, mask_set: MaskSet, ratio: float) -> MaskSet:
         p.values = np.where(m == 0, np.float32(0.0), p.values).astype(p.values.dtype, copy=False)
         masks[name] = m
     return MaskSet(masks)
-
-
-def apply_masks(model, mask_set: MaskSet) -> None:
-    for name, m in mask_set.masks.items():
-        if name not in model.parameters:
-            raise KeyError(f"mask for unknown parameter {name!r}")
-        w = model.parameters[name]
-        if w.shape != m.shape:
-            raise ContractError(f"mask shape {m.shape} != weight shape {w.shape} for {name}")
-        w.values = np.where(m == 0, np.float32(0.0), w.values).astype(w.values.dtype, copy=False)
 
 
 def lock_pattern(model) -> MaskSet:

@@ -314,6 +314,23 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     return _node(out, (table,), back)
 
 
+def position_embedding(table: Tensor, batch: int, seq: int) -> Tensor:
+    """Rows 0..seq-1 of `table` for each of `batch` rows: `embedding_lookup`
+    with ids `arange(seq)` in every row, whose backward is a sum over rows."""
+    if seq > table.shape[0]:
+        raise ShapeError(f"position-embedding: {seq} positions for a table of {table.shape[0]} rows")
+    out = np.repeat(table.values[None, :seq], batch, axis=0)
+
+    def back(g):
+        gt = np.zeros_like(table.values)
+        rows = gt[:seq]
+        for gb in g:  # from +0.0 in row order, as np.add.at adds them
+            rows += gb
+        return (gt,)
+
+    return _node(out, (table,), back)
+
+
 IGNORE_INDEX = -1
 
 

@@ -5,6 +5,7 @@ Each criterion is one test; on completion it prints a single
 verbose test listing, where the test name encodes the criterion).
 """
 import functools
+import hashlib
 import time
 from dataclasses import replace
 
@@ -20,8 +21,7 @@ from sparsekit.distill import DistillConfig, combined_loss, kd_loss, soft_probs
 from sparsekit.model import ModelConfig, build_model, prunable_parameter_names
 from sparsekit.pipeline import (run_qat, run_student_prune, run_teacher_prep,
                                 run_transfer)
-from sparsekit.pruning import (MaskSet, SparsitySchedule, prune_step,
-                               target_sparsity)
+from sparsekit.pruning import SparsitySchedule, prune_step, target_sparsity
 from sparsekit.quant import (Observer, activation_qparams, dequantize,
                              fake_quant, weight_qparams)
 from sparsekit.report import compression_report, payload_size_ratio, schedule_export
@@ -98,9 +98,12 @@ def test_criterion_02_lrr_semantics(tmp_path):
 # -- 3: pattern lock under 500 optimizer steps --------------------------------
 
 def _zero_digest(ckpt):
-    masks = {name: (ckpt.tensors[name].to_dense() != 0).astype(np.float32)
-             for name in prunable_parameter_names(ckpt.model_config)}
-    return MaskSet(masks).zero_set_digest()
+    """Stable hash of the prunable tensors' zero pattern."""
+    h = hashlib.sha256()
+    for name in sorted(prunable_parameter_names(ckpt.model_config)):
+        h.update(name.encode())
+        h.update(np.packbits(ckpt.tensors[name].to_dense().reshape(-1) != 0).tobytes())
+    return h.digest()
 
 
 @criterion(3, "pattern lock")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sparsekit.data import (CLS, IGNORE_LABEL, MASK, NUM_RESERVED, PAD, SEP,
-                            build_synthetic_corpus, make_mlm_batch,
+                            _rng, build_synthetic_corpus, make_mlm_batch,
                             make_task_dataset, task_minibatch,
                             task_minibatch_indices)
 from sparsekit.tensor import ContractError
@@ -44,9 +44,37 @@ def test_corpus_validation():
     with pytest.raises(ContractError):
         build_synthetic_corpus(seed=0, num_sequences=0)
     with pytest.raises(ContractError):
-        build_synthetic_corpus(seed=0, num_sequences=5, grammar="bigram")
-    with pytest.raises(ContractError):
         build_synthetic_corpus(seed=0, num_sequences=5, vocab_size=4)
+
+
+def _per_token_corpus(seed, num_sequences, vocab_size, seq_len):
+    """Reference: one `Generator.choice` call per token, from one stream."""
+    regular = np.arange(NUM_RESERVED, vocab_size)
+    k = regular.size
+    rng = _rng("corpus", seed)
+    trans = rng.dirichlet(np.full(k, 0.3), size=(k, k))
+    sequences = []
+    for _ in range(num_sequences):
+        a, b = rng.integers(0, k, size=2)
+        toks = [int(regular[a]), int(regular[b])]
+        for _ in range(seq_len - 2):
+            c = rng.choice(k, p=trans[a, b])
+            toks.append(int(regular[c]))
+            a, b = b, c
+        sequences.append(np.array(toks, dtype=np.int64))
+    return sequences
+
+
+@pytest.mark.parametrize("seed,num_sequences,vocab_size,seq_len", [
+    (0, 1, 64, 8), (1, 400, 64, 16), (2, 50, 32, 64), (3, 10, 16, 2),
+    (4, 5, 8, 1), (5, 30, 9, 3), (123456789, 200, 16, 64)])
+def test_corpus_matches_per_token_choice(seed, num_sequences, vocab_size, seq_len):
+    corpus = build_synthetic_corpus(seed, num_sequences, vocab_size, seq_len)
+    got = corpus.train + corpus.validation
+    want = _per_token_corpus(seed, num_sequences, vocab_size, seq_len)
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 @pytest.fixture(scope="module")

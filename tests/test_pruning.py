@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from sparsekit.model import ModelConfig, build_model
-from sparsekit.pruning import (MaskSet, SparsitySchedule, apply_masks,
-                               lock_pattern, prune_step,
-                               sparsity_report, target_sparsity)
+from sparsekit.pruning import (SparsitySchedule, _magnitude_mask, lock_pattern,
+                               prune_step, sparsity_report, target_sparsity)
 from sparsekit.tensor import ContractError
 
 
@@ -109,6 +108,49 @@ def test_prune_matches_bruteforce_oracle():
         assert got == pruned
 
 
+def _argsort_mask(w, ratio):
+    """Reference: rank by a stable argsort of |w| and zero the first floor(ratio*n)."""
+    k = int(np.floor(ratio * w.size))
+    mask = np.ones(w.size, dtype=np.float32)
+    mask[np.argsort(np.abs(w.reshape(-1)), kind="stable")[:k]] = 0.0
+    return mask.reshape(w.shape)
+
+
+def _ninety_percent_zeros(rng, shape):
+    w = rng.standard_normal(shape).astype(np.float32)
+    w.reshape(-1)[rng.permutation(w.size)[:int(0.9 * w.size)]] = 0.0
+    return w
+
+
+def _fuzz_tensors(rng):
+    """Random shapes up to (128, 512): plain normal, heavy ties over
+    {+-0, +-1, 0.5, +-inf, NaN}, and 90%-zero tensors as in the prune window."""
+    special = np.array([0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, np.nan], dtype=np.float32)
+    for trial in range(60):
+        shape = (int(rng.integers(1, 129)), int(rng.integers(1, 513)))
+        kind = trial % 3
+        if kind == 0:
+            yield rng.standard_normal(shape).astype(np.float32)
+        elif kind == 1:
+            yield rng.choice(special, size=shape)
+        else:
+            yield _ninety_percent_zeros(rng, shape)
+    yield _ninety_percent_zeros(rng, (128, 512))
+    for v in special:
+        yield np.full((1, 1), v, dtype=np.float32)
+    yield np.array([np.nan, 0.0, np.nan, 2.0, -np.inf, np.nan], dtype=np.float32)
+
+
+def test_magnitude_mask_matches_stable_argsort():
+    rng = np.random.Generator(np.random.PCG64(2024))
+    for w in _fuzz_tensors(rng):
+        for ratio in [0.0, 1.0, *rng.uniform(0, 1, size=3)]:
+            got = _magnitude_mask(w, ratio)
+            want = _argsort_mask(w, ratio)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (w.shape, ratio)
+
+
 def test_prune_idempotent_at_fixed_ratio():
     model = tiny_model()
     m1 = prune_step(model, None, 0.5)
@@ -117,23 +159,6 @@ def test_prune_idempotent_at_fixed_ratio():
     for name in m1.names():
         np.testing.assert_array_equal(m1[name], m2[name])
         np.testing.assert_array_equal(model.parameters[name].values, w_after[name])
-
-
-def test_apply_masks():
-    model = tiny_model()
-    name = model.prunable_parameters()[0]
-    ones = MaskSet({name: np.ones_like(model.parameters[name].values)})
-    before = model.parameters[name].values.copy()
-    apply_masks(model, ones)
-    np.testing.assert_array_equal(model.parameters[name].values, before)
-    zeros = MaskSet({name: np.zeros_like(before)})
-    apply_masks(model, zeros)
-    assert (model.parameters[name].values == 0).all()
-
-
-def test_apply_masks_unknown_param():
-    with pytest.raises(KeyError):
-        apply_masks(tiny_model(), MaskSet({"nope": np.ones(3)}))
 
 
 def test_lock_pattern():

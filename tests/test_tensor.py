@@ -140,6 +140,39 @@ def test_finite_diff_embedding_lookup():
     assert finite_diff_check(loss_fn, {"t": table}, "t", eps=1e-4) < 1e-3
 
 
+def test_position_embedding_bit_equal_to_lookup():
+    """Forward bytes of embedding_lookup over arange(seq) ids, and backward
+    bytes of its np.add.at scatter, also for signed zeros: 0.0 + (-0.0) is +0.0."""
+    rng = np.random.Generator(np.random.PCG64(5))
+    table = Tensor(rng.standard_normal((10, 6)).astype(np.float32))
+    batch, seq = 5, 7
+    ids = np.broadcast_to(np.arange(seq), (batch, seq))
+    out = T.position_embedding(table, batch, seq)
+    assert out.values.tobytes() == T.embedding_lookup(table, ids).values.tobytes()
+
+    g = rng.standard_normal((batch, seq, 6)).astype(np.float32)
+    g[:, 0] = -0.0                 # a position whose every row is -0.0
+    g[0, 1] = -0.0                 # -0.0 first, numbers after it
+    g[1:, 2] = -0.0                # a number first, -0.0 after it
+    g[:, 3] = np.array([0.0, -0.0, 0.0, -0.0, -0.0], dtype=np.float32)[:, None]
+    g[:, 4, 0] = [1.0, -1.0, -0.0, -0.0, -0.0]  # cancels to +0.0, then -0.0 rows
+    want = np.zeros_like(table.values)
+    np.add.at(want, ids.reshape(-1), g.reshape(-1, 6))
+    got, = out._backward(g)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.signbit(got[:seq]).sum() == np.signbit(want[:seq]).sum()
+
+
+def test_finite_diff_position_embedding():
+    rng = np.random.Generator(np.random.PCG64(4))
+    table = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+    coeff = rng.standard_normal((2, 4, 3))
+    loss_fn = lambda: T.mean(T.mul(T.position_embedding(table, 2, 4), coeff))
+    assert finite_diff_check(loss_fn, {"t": table}, "t", eps=1e-4) < 1e-3
+    with pytest.raises(ShapeError):
+        T.position_embedding(table, 2, 7)
+
+
 # -- fused layer primitives -------------------------------------------------
 
 FUSED = ["linear-2d", "linear-3d", "add_layer_norm", "attention"]

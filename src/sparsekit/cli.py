@@ -6,7 +6,7 @@ import sys
 from dataclasses import replace
 
 from .checkpoint import FormatError, load_checkpoint, save_checkpoint
-from .config import default_config, load_config
+from .config import load_config
 from .model import ConfigError, DataError
 from .pipeline import (run_finetune_prune_baseline, run_qat, run_student_prune,
                        run_teacher_prep, run_transfer)
@@ -14,10 +14,26 @@ from .report import compression_report, payload_size_ratio, schedule_export
 from .tensor import ContractError
 
 
-def _add_common(p, needs_config=True, needs_out=True):
-    p.add_argument("--config", required=needs_config, help="stage config file")
-    if needs_out:
-        p.add_argument("--out", required=True, help="output checkpoint path")
+# command -> (stage runner, help, flag naming the start checkpoint, its help).
+# A `ckpt` command also takes an optional task teacher.
+TRAINING_COMMANDS = {
+    "teacher-prep": (run_teacher_prep, "train the dense teacher on the synthetic corpus",
+                     None, None),
+    "prune": (run_student_prune, "gradual magnitude pruning with distillation",
+              "teacher", "teacher-prep checkpoint"),
+    "finetune": (run_transfer, "pattern-locked transfer to the synthetic task",
+                 "ckpt", "sparse (or dense) checkpoint to fine-tune"),
+    "qat": (run_qat, "quantization-aware training and int8 export",
+            "ckpt", "fine-tuned checkpoint"),
+    "baseline": (run_finetune_prune_baseline,
+                 "prune during task fine-tuning instead of pre-training",
+                 "ckpt", "dense checkpoint"),
+}
+
+
+def _add_common(p):
+    p.add_argument("--config", required=True, help="stage config file")
+    p.add_argument("--out", required=True, help="output checkpoint path")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--metrics", default=None, help="write per-step metrics CSV here")
 
@@ -27,48 +43,28 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="prune, distill, and quantize a tiny encoder")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("teacher-prep", help="train the dense teacher on the synthetic corpus")
-    _add_common(p)
-
-    p = sub.add_parser("prune", help="gradual magnitude pruning with distillation")
-    _add_common(p)
-    p.add_argument("--teacher", required=True, help="teacher-prep checkpoint")
-
-    p = sub.add_parser("finetune", help="pattern-locked transfer to the synthetic task")
-    _add_common(p)
-    p.add_argument("--ckpt", required=True, help="sparse (or dense) checkpoint to fine-tune")
-    p.add_argument("--teacher", default=None, help="dense task-teacher checkpoint for distillation")
-
-    p = sub.add_parser("qat", help="quantization-aware training and int8 export")
-    _add_common(p)
-    p.add_argument("--ckpt", required=True, help="fine-tuned checkpoint")
-    p.add_argument("--teacher", default=None, help="dense task-teacher checkpoint for distillation")
-
-    p = sub.add_parser("baseline", help="prune during task fine-tuning instead of pre-training")
-    _add_common(p)
-    p.add_argument("--ckpt", required=True, help="dense checkpoint")
-    p.add_argument("--teacher", default=None, help="dense task-teacher checkpoint for distillation")
+    for command, (_, help_text, start, start_help) in TRAINING_COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        _add_common(p)
+        if start is not None:
+            p.add_argument(f"--{start}", required=True, help=start_help)
+        if start == "ckpt":
+            p.add_argument("--teacher", default=None,
+                           help="dense task-teacher checkpoint for distillation")
 
     p = sub.add_parser("report", help="print the compression accounting for a checkpoint")
     p.add_argument("ckpt", help="checkpoint path")
     p.add_argument("--compare", default=None, help="second checkpoint: report payload size ratio")
 
     p = sub.add_parser("schedule-export", help="dump (t, lr, sparsity) rows as CSV")
-    _add_common(p, needs_out=True)
-
-    p = sub.add_parser("grid", help="small learning-rate/decay grid over two seeds")
-    _add_common(p, needs_out=False)
-    p.add_argument("--ckpt", required=True, help="checkpoint to fine-tune")
-    p.add_argument("--teacher", default=None, help="task-teacher checkpoint for distillation")
+    _add_common(p)
     return parser
 
 
-def _load_cfg(args, expected_stage=None):
+def _load_cfg(args):
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if expected_stage is not None and cfg.stage != expected_stage:
-        raise ConfigError(f"config stage is {cfg.stage!r}, expected {expected_stage!r}")
     return cfg
 
 
@@ -83,29 +79,14 @@ def _finish(args, ckpt, metrics):
 
 
 def _dispatch(args) -> int:
-    if args.command == "teacher-prep":
-        cfg = _load_cfg(args, "teacher-prep")
-        ckpt, metrics = run_teacher_prep(cfg)
-        _finish(args, ckpt, metrics)
-    elif args.command == "prune":
-        cfg = _load_cfg(args, "student-prune")
-        ckpt, metrics = run_student_prune(cfg, load_checkpoint(args.teacher))
-        _finish(args, ckpt, metrics)
-    elif args.command == "finetune":
-        cfg = _load_cfg(args, "transfer")
-        teacher = load_checkpoint(args.teacher) if args.teacher else None
-        ckpt, metrics = run_transfer(cfg, load_checkpoint(args.ckpt), teacher_ckpt=teacher)
-        _finish(args, ckpt, metrics)
-    elif args.command == "qat":
-        cfg = _load_cfg(args, "qat")
-        teacher = load_checkpoint(args.teacher) if args.teacher else None
-        ckpt, metrics = run_qat(cfg, load_checkpoint(args.ckpt), teacher_ckpt=teacher)
-        _finish(args, ckpt, metrics)
-    elif args.command == "baseline":
-        cfg = _load_cfg(args, "finetune-prune-baseline")
-        teacher = load_checkpoint(args.teacher) if args.teacher else None
-        ckpt, metrics = run_finetune_prune_baseline(cfg, load_checkpoint(args.ckpt),
-                                                    teacher_ckpt=teacher)
+    if args.command in TRAINING_COMMANDS:
+        runner, _, start, _ = TRAINING_COMMANDS[args.command]
+        cfg = _load_cfg(args)
+        inputs = [] if start is None else [load_checkpoint(getattr(args, start))]
+        kwargs = {}
+        if start == "ckpt":
+            kwargs["teacher_ckpt"] = load_checkpoint(args.teacher) if args.teacher else None
+        ckpt, metrics = runner(cfg, *inputs, **kwargs)
         _finish(args, ckpt, metrics)
     elif args.command == "report":
         ckpt = load_checkpoint(args.ckpt)
@@ -119,29 +100,7 @@ def _dispatch(args) -> int:
             raise ConfigError("schedule-export needs a [pruning] section")
         schedule_export(cfg.lr_schedule(), cfg.pruning, args.out)
         print(f"wrote {args.out}")
-    elif args.command == "grid":
-        _run_grid(args)
     return 0
-
-
-def _run_grid(args) -> None:
-    base_cfg = _load_cfg(args, "transfer")
-    start = load_checkpoint(args.ckpt)
-    teacher = load_checkpoint(args.teacher) if args.teacher else None
-    print("lr,weight_decay,mean_val_accuracy")
-    best = None
-    for lr in (base_cfg.lr, base_cfg.lr * 0.5):
-        for wd in (0.0, 0.01):
-            accs = []
-            for seed in (base_cfg.seed, base_cfg.seed + 1):
-                cfg = replace(base_cfg, lr=lr, weight_decay=wd, seed=seed)
-                _, metrics = run_transfer(cfg, start, teacher_ckpt=teacher)
-                accs.append(metrics.summary["val_accuracy"])
-            mean = sum(accs) / len(accs)
-            print(f"{lr!r},{wd!r},{mean!r}")
-            if best is None or mean > best[0]:
-                best = (mean, lr, wd)
-    print(f"best: lr={best[1]!r} weight_decay={best[2]!r} mean_val_accuracy={best[0]!r}")
 
 
 def main(argv=None) -> int:

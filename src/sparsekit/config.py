@@ -110,8 +110,7 @@ _SCHEMA = {
     "run": {"stage": str, "steps": int, "batch_size": int, "seq_len": int,
             "seed": int, "log_every": int, "kd": _parse_bool, "lrr": _parse_bool},
     "model": {"num_layers": int, "hidden": int, "heads": int, "ffn_dim": int,
-              "vocab": int, "max_seq": int, "has_pooler": _parse_bool,
-              "head_kind": str, "num_labels": int},
+              "vocab": int, "max_seq": int, "has_pooler": _parse_bool},
     "optimizer": {"lr": float, "weight_decay": float},
     "schedule": {"warmup_steps": int},
     "distill": {"temperature": float, "lambda_pt": float, "lambda_kd": float},
@@ -120,6 +119,9 @@ _SCHEMA = {
     "data": {"corpus_seed": int, "num_sequences": int, "num_examples": int,
              "num_labels": int},
 }
+
+# [run] keys whose StageConfig field has another name
+_RENAMED = {"kd": "kd_enabled", "lrr": "lrr_enabled"}
 
 
 def parse_config_text(text: str) -> StageConfig:
@@ -153,29 +155,17 @@ def parse_config_text(text: str) -> StageConfig:
     stage = run["stage"]
     base = default_config(stage, seed=run.get("seed", 1))
 
-    model = replace(base.model, **sections.get("model", {}))
-    distill = replace(base.distill, **sections.get("distill", {}))
     pruning = base.pruning
     if "pruning" in sections:
         defaults = pruning or SparsitySchedule(0.0, 0.9, 0, 50, 80, 1)
         pruning = replace(defaults, **sections["pruning"])
-    data = replace(base.data, **sections.get("data", {}))
-    opt = sections.get("optimizer", {})
-    sched = sections.get("schedule", {})
-    return StageConfig(
-        stage=stage, model=model,
-        steps=run.get("steps", base.steps),
-        batch_size=run.get("batch_size", base.batch_size),
-        seq_len=run.get("seq_len", base.seq_len),
-        seed=run.get("seed", base.seed),
-        lr=opt.get("lr", base.lr),
-        weight_decay=opt.get("weight_decay", base.weight_decay),
-        warmup_steps=sched.get("warmup_steps", base.warmup_steps),
-        distill=distill, pruning=pruning, data=data,
-        kd_enabled=run.get("kd", base.kd_enabled),
-        lrr_enabled=run.get("lrr", base.lrr_enabled),
-        log_every=run.get("log_every", base.log_every),
-    )
+    overrides = {_RENAMED.get(key, key): value
+                 for name in ("run", "optimizer", "schedule")
+                 for key, value in sections.get(name, {}).items()}
+    return replace(base, model=replace(base.model, **sections.get("model", {})),
+                   distill=replace(base.distill, **sections.get("distill", {})),
+                   data=replace(base.data, **sections.get("data", {})),
+                   pruning=pruning, **overrides)
 
 
 def load_config(path) -> StageConfig:

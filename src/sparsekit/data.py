@@ -1,7 +1,7 @@
 """Deterministic synthetic corpus, MLM masking, and a toy classification task."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np

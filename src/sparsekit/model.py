@@ -34,7 +34,7 @@ class ModelConfig:
     vocab: int
     max_seq: int
     has_pooler: bool = True
-    head_kind: str = "mlm"  # mlm | classify | both
+    head_kind: str = "mlm"  # mlm | classify
     num_labels: int = 2
 
     def __post_init__(self):
@@ -44,7 +44,7 @@ class ModelConfig:
             raise ConfigError("vocab must be >= 8")
         if self.max_seq < 4:
             raise ConfigError("max_seq must be >= 4")
-        if self.head_kind not in ("mlm", "classify", "both"):
+        if self.head_kind not in ("mlm", "classify"):
             raise ConfigError(f"unknown head kind {self.head_kind!r}")
 
 
@@ -69,10 +69,10 @@ def parameter_specs(config: ModelConfig) -> List[tuple]:
     if config.has_pooler:
         specs.append(("pooler.weight", (h, h), "normal-0.02"))
         specs.append(("pooler.bias", (h,), "zeros"))
-    if config.head_kind in ("mlm", "both"):
+    if config.head_kind == "mlm":
         specs.append(("mlm_head.weight", (h, v), "normal-0.02"))
         specs.append(("mlm_head.bias", (v,), "zeros"))
-    if config.head_kind in ("classify", "both"):
+    else:
         specs.append(("classify_head.weight", (h, config.num_labels), "normal-0.02"))
         specs.append(("classify_head.bias", (config.num_labels,), "zeros"))
     return specs
@@ -94,7 +94,6 @@ def prunable_parameter_names(config: ModelConfig) -> List[str]:
 class ForwardResult:
     logits: Tensor
     loss: Tensor
-    degenerate: bool = False
 
 
 class EncoderModel:
@@ -104,10 +103,6 @@ class EncoderModel:
 
     def prunable_parameters(self) -> List[str]:
         return prunable_parameter_names(self.config)
-
-    def clone(self) -> "EncoderModel":
-        params = {n: Tensor(p.values.copy(), requires_grad=True) for n, p in self.parameters.items()}
-        return EncoderModel(self.config, params)
 
     def astype(self, dtype) -> "EncoderModel":
         params = {n: Tensor(p.values.astype(dtype), requires_grad=True) for n, p in self.parameters.items()}
@@ -155,7 +150,7 @@ class EncoderModel:
         return x
 
     def forward_mlm(self, batch, quant=None) -> ForwardResult:
-        if self.config.head_kind not in ("mlm", "both"):
+        if self.config.head_kind != "mlm":
             raise ConfigError("model has no MLM head")
         hidden = self.encode(batch.input_ids, batch.attention_mask, quant)
         logits = T.linear(hidden, self.parameters["mlm_head.weight"],
@@ -163,12 +158,12 @@ class EncoderModel:
         b, s = batch.input_ids.shape
         flat = T.reshape(logits, (b * s, self.config.vocab))
         loss = T.cross_entropy_with_targets(flat, batch.labels.reshape(-1))
-        return ForwardResult(logits, loss, degenerate=loss.degenerate)
+        return ForwardResult(logits, loss)
 
     def classify_logits(self, cls: Tensor, quant=None) -> Tensor:
         """Pooler (when present) and classification head over CLS states
         of shape (batch, hidden)."""
-        if self.config.head_kind not in ("classify", "both"):
+        if self.config.head_kind != "classify":
             raise ConfigError("model has no classification head")
         if self.config.has_pooler:
             cls = T.gelu(self._linear(cls, "pooler", quant))
@@ -179,7 +174,7 @@ class EncoderModel:
         hidden = self.encode(batch.input_ids, batch.attention_mask, quant)
         logits = self.classify_logits(T.take_rows(hidden, 0, axis=1), quant)
         loss = T.cross_entropy_with_targets(logits, batch.labels)
-        return ForwardResult(logits, loss, degenerate=loss.degenerate)
+        return ForwardResult(logits, loss)
 
 
 def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> EncoderModel:

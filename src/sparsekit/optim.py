@@ -6,7 +6,6 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .pruning import MaskSet
 from .tensor import ContractError, Tensor
 
 
@@ -56,7 +55,7 @@ class Adam:
         for p in self.parameters.values():
             p.zero_grad()
 
-    def _runs(self, live: tuple, masks: Optional[MaskSet]) -> list:
+    def _runs(self, live: tuple, masks: Optional[Dict[str, np.ndarray]]) -> list:
         """(start, stop, spans, decayed, mask) of each run a step walks:
           start, stop  its slice of the moment arrays
           spans        (parameter, start, stop) of each parameter within the run
@@ -64,7 +63,8 @@ class Adam:
           mask         the run's pruning masks, 1 outside masked tensors;
                        None when no tensor of the run is masked
         Rebuilt only when the set of parameters with a gradient or the mask
-        set changes; a MaskSet is read when first seen."""
+        dict changes. The dict is compared by identity and read when first
+        seen, so it must not be changed after it is passed to `step`."""
         if self._runs_key[0] == live and self._runs_key[1] is masks:
             return self._runs_cache
         runs, prev_live = [], False
@@ -95,7 +95,7 @@ class Adam:
         self._runs_key = (live, masks)
         return self._runs_cache
 
-    def step(self, lr: float, masks: Optional[MaskSet] = None):
+    def step(self, lr: float, masks: Optional[Dict[str, np.ndarray]] = None):
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t

@@ -6,7 +6,7 @@ function of (config, input checkpoints) given the seeds it carries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -19,8 +19,7 @@ from .distill import combined_loss, kd_loss
 from .model import (ConfigError, EncoderModel, ForwardResult, build_model,
                     prunable_parameter_names)
 from .optim import Adam
-from .pruning import (MaskSet, lock_pattern, prune_step, sparsity_report,
-                      target_sparsity)
+from .pruning import lock_pattern, prune_step, sparsity_report, target_sparsity
 from .quant import QatContext
 from .schedule import lr_rewound
 
@@ -31,7 +30,9 @@ METRICS_HEADER = "step,lr,target_sparsity,actual_sparsity,loss_pt,loss_kd,loss_t
 TEACHER_CHUNK_ROWS = 64
 
 # One step's (loss, l_pt, l_kd): the loss to backpropagate and the two terms logged.
-StepLoss = Tuple[T.Tensor, float, float]
+# The builtin generic, unlike typing.Tuple, is not cached by typing, so a
+# re-imported sparsekit does not keep the replaced copy's modules alive.
+StepLoss = tuple[T.Tensor, float, float]
 
 
 @dataclass
@@ -136,7 +137,7 @@ def _expect_stage(cfg: StageConfig, stage: str) -> None:
 
 
 def _train(cfg: StageConfig, model: EncoderModel, step_loss: Callable[[int], StepLoss],
-           masks: Optional[MaskSet] = None) -> RunMetrics:
+           masks: Optional[Dict[str, np.ndarray]] = None) -> RunMetrics:
     """The step loop of every stage: one Adam step per `step_loss(t)`.
 
     A stage prunes exactly when its config has a pruning section: gradual

@@ -2,11 +2,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
-from .tensor import ContractError, Tensor
+from .tensor import ContractError
 
 
 @dataclass(frozen=True)
@@ -38,22 +38,6 @@ def target_sparsity(sched: SparsitySchedule, t: int) -> float:
     return sched.final_sparsity + (sched.initial_sparsity - sched.final_sparsity) * (1.0 - frac) ** 3
 
 
-class MaskSet:
-    """Per-parameter binary masks sharing shapes with the masked weights."""
-
-    def __init__(self, masks: Dict[str, np.ndarray]):
-        self.masks = masks
-
-    def __contains__(self, name):
-        return name in self.masks
-
-    def __getitem__(self, name):
-        return self.masks[name]
-
-    def names(self):
-        return list(self.masks.keys())
-
-
 def _magnitude_mask(w: np.ndarray, ratio: float) -> np.ndarray:
     """Zero the floor(ratio*n) smallest-|w| entries; ties pruned lowest flat index first.
 
@@ -80,8 +64,10 @@ def _magnitude_mask(w: np.ndarray, ratio: float) -> np.ndarray:
     return (~pruned).astype(np.float32).reshape(w.shape)
 
 
-def prune_step(model, mask_set: MaskSet, ratio: float) -> MaskSet:
-    """Recompute masks from current magnitudes and hard-zero pruned weights."""
+def prune_step(model, mask_set: Optional[Dict[str, np.ndarray]],
+               ratio: float) -> Dict[str, np.ndarray]:
+    """Recompute masks from current magnitudes and hard-zero pruned weights.
+    `mask_set`, the previous masks, is not read."""
     if not (0.0 <= ratio <= 1.0):
         raise ContractError(f"prune ratio {ratio} outside [0, 1]")
     masks = {}
@@ -91,16 +77,16 @@ def prune_step(model, mask_set: MaskSet, ratio: float) -> MaskSet:
         # np.where instead of w*m so pruned entries become +0.0, not -0.0
         p.values = np.where(m == 0, np.float32(0.0), p.values).astype(p.values.dtype, copy=False)
         masks[name] = m
-    return MaskSet(masks)
+    return masks
 
 
-def lock_pattern(model) -> MaskSet:
+def lock_pattern(model) -> Dict[str, np.ndarray]:
     """Mask is 1 exactly where the weight is nonzero, over prunable tensors."""
     masks = {}
     for name in model.prunable_parameters():
         w = model.parameters[name].values
         masks[name] = (w != 0).astype(np.float32)
-    return MaskSet(masks)
+    return masks
 
 
 @dataclass

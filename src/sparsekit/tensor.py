@@ -58,28 +58,8 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self):
-        return Tensor(self.values)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, name={self.name})"
-
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _wrap(other))
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other))
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other))
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
-    def backward(self):
-        backward(self)
 
 
 def _wrap(x) -> Tensor:

@@ -133,29 +133,53 @@ def test_missing_config_is_error(workdir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_stage_mismatch_is_error(workdir, capsys):
-    rc = main(["prune", "--config", str(workdir / "teacher.cfg"),
-               "--teacher", str(workdir / "teacher.ckpt"),
-               "--out", str(workdir / "x.ckpt")])
+# Training command -> (the config of another stage, flag of the start
+# checkpoint). The runner checks the stage first, so any readable start
+# checkpoint will do.
+MISMATCHED = {
+    "teacher-prep": ("prune.cfg", None),
+    "prune": ("teacher.cfg", "--teacher"),
+    "finetune": ("qat.cfg", "--ckpt"),
+    "qat": ("transfer.cfg", "--ckpt"),
+    "baseline": ("transfer.cfg", "--ckpt"),
+}
+
+
+@pytest.mark.parametrize("command", list(MISMATCHED))
+def test_stage_mismatch_is_error(command, workdir, tmp_path, capsys):
+    cfg, flag = MISMATCHED[command]
+    model = build_model(ModelConfig(num_layers=1, hidden=8, heads=2, ffn_dim=16, vocab=16,
+                                    max_seq=8), seed=0)
+    save_checkpoint(checkpoint_from_model(model, "teacher-prep"), tmp_path / "start.ckpt")
+    start = [flag, str(tmp_path / "start.ckpt")] if flag else []
+    out = tmp_path / "x.ckpt"
+    rc = main([command, "--config", str(workdir / cfg), *start, "--out", str(out)])
     assert rc == 1
-    assert "expected" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "expected" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+# [model] holds encoder fields only; the label count is [data] num_labels.
+@pytest.mark.parametrize("key, value", [("num_labels", "7"), ("head_kind", "both")])
+def test_head_keys_in_model_section_are_rejected(key, value, workdir, tmp_path, capsys):
+    line = f"{key} = {value}"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TRANSFER_CFG.replace("[model]\n", f"[model]\n{line}\n"))
+    lineno = cfg.read_text().splitlines().index(line) + 1
+    out = tmp_path / "x.ckpt"
+    rc = main(["finetune", "--config", str(cfg), "--ckpt", str(workdir / "sparse.ckpt"),
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        f"error: line {lineno}: unknown key {key!r} in section [model]\n"
+    assert not out.exists()
 
 
 def test_bad_usage_returns_two(capsys):
     assert main([]) == 2
     assert main(["teacher-prep"]) == 2
     capsys.readouterr()
-
-
-def test_grid_command(workdir, capsys, tmp_path):
-    cfg = tmp_path / "grid.cfg"
-    cfg.write_text("[run]\nstage = transfer\nsteps = 10\nkd = false\n" + SMALL_MODEL)
-    rc = main(["grid", "--config", str(cfg), "--ckpt", str(workdir / "sparse.ckpt")])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert out.startswith("lr,weight_decay,mean_val_accuracy")
-    assert out.count("\n") == 6  # header + 4 grid rows + best line
-    assert "best:" in out
 
 
 # The second `steps = 0` line overrides `steps = 2`.

@@ -3,7 +3,6 @@ import pytest
 
 from sparsekit import optim
 from sparsekit.optim import Adam
-from sparsekit.pruning import MaskSet
 from sparsekit.tensor import ContractError, Tensor
 
 
@@ -68,7 +67,7 @@ def test_masked_positions_never_move():
         opt.step(1e-2)
     # zero one position and freeze the pattern
     params["w.weight"].values[0, 0] = 0.0
-    mask = MaskSet({"w.weight": np.array([[0.0, 1.0], [1.0, 1.0]], dtype=np.float32)})
+    mask = {"w.weight": np.array([[0.0, 1.0], [1.0, 1.0]], dtype=np.float32)}
     for _ in range(10):
         params["w.weight"].grad = np.full((2, 2), 0.5, dtype=np.float32)
         opt.step(1e-2, mask)
@@ -80,7 +79,7 @@ def test_masked_positions_never_move():
 def test_masked_grad_does_not_pollute_momentum():
     params = _param(np.ones((1, 2)))
     opt = Adam(params)
-    mask = MaskSet({"w.weight": np.array([[0.0, 1.0]], dtype=np.float32)})
+    mask = {"w.weight": np.array([[0.0, 1.0]], dtype=np.float32)}
     params["w.weight"].grad = np.array([[100.0, 0.0]], dtype=np.float32)
     opt.step(1e-2, mask)
     assert opt.m["w.weight"][0, 0] == 0.0
@@ -126,9 +125,9 @@ def test_flat_step_bit_equal_to_per_parameter_loop(run_size, monkeypatch):
     ref = {n: Tensor(v.copy(), requires_grad=True) for n, v in init.items()}
     state = {n: (np.zeros(s, np.float32), np.zeros(s, np.float32)) for n, s in shapes.items()}
     opt = Adam(flat, weight_decay=0.01)
-    mask_a = MaskSet({"a.weight": (rng.random((4, 3)) > 0.5).astype(np.float32)})
-    mask_b = MaskSet({"b.weight": (rng.random((3, 5)) > 0.3).astype(np.float32),
-                      "a.bias": np.array([1.0, 0.0, 1.0], dtype=np.float32)})
+    mask_a = {"a.weight": (rng.random((4, 3)) > 0.5).astype(np.float32)}
+    mask_b = {"b.weight": (rng.random((3, 5)) > 0.3).astype(np.float32),
+              "a.bias": np.array([1.0, 0.0, 1.0], dtype=np.float32)}
     for t in range(1, 13):
         masks = (None, mask_a, mask_a, mask_b)[t % 4]
         lr = 0.0 if t % 4 == 2 else 0.01 * t
@@ -164,4 +163,4 @@ def test_mask_shape_mismatch_is_contract_error():
     params = _param(np.ones((2, 2)))
     params["w.weight"].grad = np.ones((2, 2), dtype=np.float32)
     with pytest.raises(ContractError, match=r"mask shape \(4,\) != parameter shape \(2, 2\)"):
-        Adam(params).step(0.1, MaskSet({"w.weight": np.ones(4, dtype=np.float32)}))
+        Adam(params).step(0.1, {"w.weight": np.ones(4, dtype=np.float32)})

@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
@@ -244,3 +248,24 @@ def _golden_chain(teacher_ckpt, task_teacher_ckpt):
 
 def test_golden_training_chain(teacher_ckpt, task_teacher_ckpt):
     assert _golden_chain(teacher_ckpt, task_teacher_ckpt) == GOLDEN_CHAIN
+
+
+def test_reimport_releases_the_replaced_modules():
+    """A fresh import of sparsekit, as the benchmark's set-up does, leaves
+    nothing that keeps the copy it replaces alive."""
+    code = textwrap.dedent("""
+        import gc, importlib, sys, types
+        for _ in range(6):
+            for name in [m for m in sys.modules if m.split(".")[0] == "sparsekit"]:
+                del sys.modules[name]
+            importlib.import_module("sparsekit.pipeline")
+        gc.collect()
+        print(sum(isinstance(o, types.FunctionType) and o.__module__ == "sparsekit.tensor"
+                  and o.__name__ == "linear" for o in gc.get_objects()))
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(T.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "1"

@@ -156,7 +156,7 @@ def test_prune_idempotent_at_fixed_ratio():
     m1 = prune_step(model, None, 0.5)
     w_after = {n: model.parameters[n].values.copy() for n in model.prunable_parameters()}
     m2 = prune_step(model, m1, 0.5)
-    for name in m1.names():
+    for name in m1:
         np.testing.assert_array_equal(m1[name], m2[name])
         np.testing.assert_array_equal(model.parameters[name].values, w_after[name])
 
@@ -175,7 +175,7 @@ def test_lock_pattern_dense_all_ones():
     for n in model.prunable_parameters():
         assert (model.parameters[n].values != 0).all()
     masks = lock_pattern(model)
-    for n in masks.names():
+    for n in masks:
         assert masks[n].all()
 
 
@@ -183,7 +183,7 @@ def test_lock_pattern_sparsity_matches():
     model = tiny_model()
     prune_step(model, None, 0.9)
     masks = lock_pattern(model)
-    for n in masks.names():
+    for n in masks:
         size = masks[n].size
         assert (masks[n] == 0).sum() == int(np.floor(0.9 * size))
 

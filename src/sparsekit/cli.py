@@ -57,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare", default=None, help="second checkpoint: report payload size ratio")
 
     p = sub.add_parser("schedule-export", help="dump (t, lr, sparsity) rows as CSV")
-    _add_common(p)
+    p.add_argument("--config", required=True, help="stage config file with a [pruning] section")
+    p.add_argument("--out", required=True, help="output CSV path")
     return parser
 
 
@@ -95,7 +96,7 @@ def _dispatch(args) -> int:
             other = load_checkpoint(args.compare)
             print(f"payload size ratio (first/second): {payload_size_ratio(ckpt, other)!r}")
     elif args.command == "schedule-export":
-        cfg = _load_cfg(args)
+        cfg = load_config(args.config)
         if cfg.pruning is None:
             raise ConfigError("schedule-export needs a [pruning] section")
         schedule_export(cfg.lr_schedule(), cfg.pruning, args.out)

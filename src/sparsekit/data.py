@@ -41,6 +41,15 @@ class Corpus:
     validation: List[np.ndarray]
 
 
+def _split_point(key: str, n: int) -> int:
+    """Training items of the 95/5 split of n items; both splits must be non-empty."""
+    n_train = min(n, max(1, round(0.95 * n)))
+    if n_train == n:
+        split = "training" if n < 1 else "validation"
+        raise ContractError(f"{key} = {n} leaves the {split} split empty")
+    return n_train
+
+
 def build_synthetic_corpus(seed: int, num_sequences: int, vocab_size: int = 64,
                            seq_len: int = 64) -> Corpus:
     """Order-2 Markov token streams with skewed transitions, split 95/5.
@@ -49,9 +58,8 @@ def build_synthetic_corpus(seed: int, num_sequences: int, vocab_size: int = 64,
     token, which picks from the context's CDF as `Generator.choice(k, p=...)`
     would. Drawing the uniforms up front lets every sequence advance at once.
     """
-    if num_sequences < 1:
-        raise ContractError("need at least one sequence")
     vocab = Vocab(vocab_size)
+    n_train = _split_point("num_sequences", num_sequences)
     regular = vocab.regular_ids
     k = regular.size
     rng = _rng("corpus", seed)
@@ -69,7 +77,6 @@ def build_synthetic_corpus(seed: int, num_sequences: int, vocab_size: int = 64,
         # entries <= u in a sorted row: searchsorted(u, side="right")
         toks[:, t + 2] = (cdf <= u[:, t, None]).sum(axis=1)
     sequences = list(regular[toks])
-    n_train = min(num_sequences, max(1, round(0.95 * num_sequences)))
     return Corpus(vocab, sequences[:n_train], sequences[n_train:])
 
 
@@ -136,6 +143,7 @@ def make_task_dataset(seed: int, num_examples: int, num_labels: int,
     if num_labels < 2:
         raise ContractError("need at least two labels")
     vocab = Vocab(vocab_size)
+    n_train = _split_point("num_examples", num_examples)
     regular = vocab.regular_ids
     groups = np.array_split(regular, num_labels)
     rng = _rng("task", seed)
@@ -155,7 +163,6 @@ def make_task_dataset(seed: int, num_examples: int, num_labels: int,
         labels[i] = g
     perm = rng.permutation(num_examples)
     ids, labels = ids[perm], labels[perm]
-    n_train = max(1, round(0.95 * num_examples))
     return TaskDataset(
         vocab,
         TaskBatch(ids[:n_train], labels[:n_train], attention[:n_train]),

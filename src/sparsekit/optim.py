@@ -26,14 +26,18 @@ class Adam:
     its arithmetic once per run. The arithmetic is elementwise, so every
     value equals what a loop over the parameters computes. `m` and `v` map
     each name to its slice, shaped like the parameter. The parameters keep
-    their own arrays, which are updated in place."""
+    their own arrays, which are updated in place.
+
+    The learning rate and the hyperparameters are used as Python floats,
+    which numpy applies in the dtype of the array operand, so each step of
+    the arithmetic can write into the temporary it replaces."""
 
     def __init__(self, parameters: Dict[str, Tensor], weight_decay: float = 0.0,
                  betas=(0.9, 0.999), eps: float = 1e-8):
         self.parameters = parameters
-        self.weight_decay = weight_decay
-        self.beta1, self.beta2 = betas
-        self.eps = eps
+        self.weight_decay = float(weight_decay)
+        self.beta1, self.beta2 = map(float, betas)
+        self.eps = float(eps)
         self.t = 0
         dtypes = {p.dtype for p in parameters.values()}
         if len(dtypes) > 1:
@@ -96,6 +100,7 @@ class Adam:
         return self._runs_cache
 
     def step(self, lr: float, masks: Optional[Dict[str, np.ndarray]] = None):
+        lr = float(lr)
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
@@ -106,11 +111,21 @@ class Adam:
             if mask is not None:
                 g = g * mask
             m, v = self._m[start:stop], self._v[start:stop]
+            # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+            # update = lr * (m / bc1) / (sqrt(v / bc2) + eps)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            t = np.multiply(1.0 - self.beta1, g)
+            m += t
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            np.multiply(1.0 - self.beta2, g, out=t)
+            np.multiply(t, g, out=t)
+            v += t
+            update = np.divide(m, bc1)
+            np.multiply(lr, update, out=update)
+            den = np.divide(v, bc2)
+            np.sqrt(den, out=den)
+            np.add(den, self.eps, out=den)
+            np.divide(update, den, out=update)
             for p, a, b in decayed:
                 # added span by span, not through a 0/1 multiply: undecayed
                 # entries get no decay term at all (an inf weight times 0 is nan)
@@ -118,7 +133,6 @@ class Adam:
             if mask is not None:
                 # masked positions get no update of any kind, even from stale
                 # momentum accumulated before the pattern froze
-                update = update * mask
-            update = update.astype(self._m.dtype, copy=False)
+                np.multiply(update, mask, out=update)
             for p, a, b in spans:
                 p.values -= update[a:b].reshape(p.shape)

@@ -104,7 +104,7 @@ def sparsity_report(model) -> SparsityReport:
     total = 0
     for name in model.prunable_parameters():
         w = model.parameters[name].values
-        z = int((w == 0).sum())
+        z = w.size - int(np.count_nonzero(w))
         per_tensor[name] = z / w.size
         zeros += z
         total += w.size

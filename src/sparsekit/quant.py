@@ -1,6 +1,7 @@
 """8-bit fake quantization: symmetric weights, asymmetric activations, STE."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -27,10 +28,13 @@ class QuantParams:
 
 @dataclass
 class Observer:
-    """Running min/max of everything seen; backs the asymmetric activation range."""
+    """Running min/max of everything seen; backs the asymmetric activation range.
+    A batch holding NaN or an infinity is a ContractError: min/max would keep
+    or drop it depending on the order batches arrive in."""
 
     running_min: Optional[float] = None
     running_max: Optional[float] = None
+    name: str = "activation"
 
     @property
     def initialized(self) -> bool:
@@ -39,6 +43,9 @@ class Observer:
     def observe(self, x: np.ndarray) -> "Observer":
         lo = float(x.min())
         hi = float(x.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ContractError(f"observer {self.name!r}: non-finite activations "
+                                f"(batch min {lo}, max {hi})")
         if self.running_min is None:
             self.running_min, self.running_max = lo, hi
         else:
@@ -114,7 +121,7 @@ class QatContext:
         if obs is None:
             if self.frozen:
                 return x
-            obs = self.observers[name] = Observer()
+            obs = self.observers[name] = Observer(name=name)
         if not self.frozen:
             obs.observe(x.values)
         return fake_quant(x, activation_qparams(obs))
@@ -126,5 +133,5 @@ class QatContext:
     def from_ranges(cls, weight_names, ranges: Dict[str, tuple]) -> "QatContext":
         ctx = cls(weight_names, frozen=True)
         for name, (lo, hi) in ranges.items():
-            ctx.observers[name] = Observer(running_min=lo, running_max=hi)
+            ctx.observers[name] = Observer(running_min=lo, running_max=hi, name=name)
         return ctx

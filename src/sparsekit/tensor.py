@@ -166,15 +166,32 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
+    # The tanh approximation 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3))),
+    # one ufunc per operator of that formula in its order, written into
+    # arrays allocated here.
     x = a.values
-    inner = _SQRT_2_OVER_PI * (x + GELU_COEFF * x * x * x)
-    th = np.tanh(inner)
-    out = 0.5 * x * (1.0 + th)
+    th = np.multiply(GELU_COEFF, x)
+    np.multiply(th, x, out=th)
+    np.multiply(th, x, out=th)
+    np.add(x, th, out=th)
+    np.multiply(_SQRT_2_OVER_PI, th, out=th)
+    np.tanh(th, out=th)
+    out = np.multiply(0.5, x)
+    np.multiply(out, np.add(1.0, th), out=out)
 
     def back(g):
-        dinner = _SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_COEFF * x * x)
-        dx = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * dinner
-        return (g * dx,)
+        # 0.5 (1 + th) + 0.5 x (1 - th^2) sqrt(2/pi) (1 + 3 * 0.044715 x^2)
+        dinner = np.multiply(3.0 * GELU_COEFF, x)
+        np.multiply(dinner, x, out=dinner)
+        np.add(1.0, dinner, out=dinner)
+        np.multiply(_SQRT_2_OVER_PI, dinner, out=dinner)
+        dx = np.add(1.0, th)
+        np.multiply(0.5, dx, out=dx)
+        t = np.multiply(0.5, x)
+        np.multiply(t, np.subtract(1.0, np.multiply(th, th)), out=t)
+        np.multiply(t, dinner, out=t)
+        np.add(dx, t, out=dx)
+        return (np.multiply(g, dx, out=dx),)
 
     return _node(out, (a,), back)
 
@@ -211,6 +228,9 @@ def layer_norm_last_axis(a: Tensor, eps: float = 1e-5) -> Tensor:
 # One tape node each for the model's linear layers, residual layer norms and
 # attention cores. Forward and backward run the same array ops, in the same
 # order, as the unfused primitives they replace, so results are bit-equal.
+# Elementwise steps write with `out=` into arrays the primitive allocated
+# itself, never into an input, a gradient it was given or an array another
+# node holds; the ufunc and its operand order stay those of the formula.
 
 def _mean_last(a: np.ndarray) -> np.ndarray:
     """a.mean(axis=-1, keepdims=True) by numpy's own formula, minus its wrappers."""
@@ -229,7 +249,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         gw = _unbroadcast(np.matmul(np.swapaxes(xv, -1, -2), g), w.shape)
         return np.matmul(g, np.swapaxes(wv, -1, -2)), gw, _unbroadcast(g, b.shape)
 
-    return _node(np.matmul(xv, wv) + b.values, (x, w, b), back)
+    out = np.matmul(xv, wv)
+    np.add(out, b.values, out=out)
+    return _node(out, (x, w, b), back)
 
 
 def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -237,18 +259,28 @@ def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, eps: float 
     if x.shape != y.shape or gain.shape != x.shape[-1:] or bias.shape != gain.shape:
         raise ShapeError(f"add-layer-norm: shapes {x.shape}, {y.shape}, {gain.shape}, "
                          f"{bias.shape} do not match")
-    d = x.values + y.values
-    d -= _mean_last(d)
-    inv = 1.0 / np.sqrt(_mean_last(np.square(d)) + eps)
-    xhat = d * inv
+    xhat = x.values + y.values
+    xhat -= _mean_last(xhat)
+    inv = _mean_last(np.square(xhat))
+    np.add(inv, eps, out=inv)
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    np.multiply(xhat, inv, out=xhat)
     gv = gain.values
 
     def back(g):
-        gx = g * gv
-        dx = inv * (gx - _mean_last(gx) - xhat * _mean_last(gx * xhat))
+        # inv * (gx - mean(gx) - xhat * mean(gx * xhat)) for gx = g * gain
+        gx = np.multiply(g, gv)
+        t = np.multiply(gx, xhat)
+        np.subtract(gx, _mean_last(gx), out=gx)
+        np.multiply(xhat, _mean_last(t), out=t)
+        np.subtract(gx, t, out=gx)
+        dx = np.multiply(inv, gx, out=gx)
         return dx, dx, _unbroadcast(g * xhat, gain.shape), _unbroadcast(g, bias.shape)
 
-    return _node(xhat * gv + bias.values, (x, y, gain, bias), back)
+    out = np.multiply(xhat, gv)
+    np.add(out, bias.values, out=out)
+    return _node(out, (x, y, gain, bias), back)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask_bias: np.ndarray, heads: int) -> Tensor:
@@ -263,8 +295,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask_bias: np.ndarray, heads: int
     qh, kh, vh = (t.values.reshape(split).transpose(0, 2, 1, 3) for t in (q, k, v))
     c = 1.0 / math.sqrt(split[3])
     z = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * c + mask_bias
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    s = e / e.sum(axis=-1, keepdims=True)
+    # The row max over a key-major copy: numpy's max reduce over the last
+    # axis runs once per row of (at the desk shape) 16 keys, while over the
+    # leading axis it runs once per key across all rows. A max does not
+    # depend on order, and NaN still propagates; only the sign of a zero
+    # max may differ, which exp(z - max) does not see.
+    zmax = np.maximum.reduce(np.moveaxis(z, -1, 0).copy(), axis=0)
+    np.subtract(z, zmax[..., None], out=z)
+    s = np.exp(z, out=z)
+    np.divide(s, s.sum(axis=-1, keepdims=True), out=s)
 
     def merge(t):
         return t.transpose(0, 2, 1, 3).reshape(q.shape)
@@ -272,7 +311,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask_bias: np.ndarray, heads: int
     def back(g):
         gh = g.reshape(split).transpose(0, 2, 1, 3)
         gs = np.matmul(gh, np.swapaxes(vh, -1, -2))
-        gz = s * (gs - (gs * s).sum(axis=-1, keepdims=True)) * c
+        # gz = s * (gs - (gs * s).sum(axis=-1, keepdims=True)) * c
+        gz = np.subtract(gs, (gs * s).sum(axis=-1, keepdims=True), out=gs)
+        np.multiply(s, gz, out=gz)
+        np.multiply(gz, c, out=gz)
         gkt = np.matmul(np.swapaxes(qh, -1, -2), gz)
         return merge(np.matmul(gz, kh)), merge(gkt.transpose(0, 1, 3, 2)), \
             merge(np.matmul(np.swapaxes(s, -1, -2), gh))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,32 @@ def test_schedule_export_command(workdir, capsys):
     lines = (workdir / "sched.csv").read_text().strip().splitlines()
     assert lines[0] == "t,lr_base,lr_rewound,target_sparsity"
     assert len(lines) == 42
+
+
+@pytest.mark.parametrize("flag", [["--metrics", "m.csv"], ["--seed", "5"]])
+def test_schedule_export_takes_only_config_and_out(flag, workdir, tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["schedule-export", "--config", str(workdir / "prune.cfg"),
+               "--out", "s.csv", *flag])
+    assert rc == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# A 95/5 split of 10 items leaves validation empty.
+@pytest.mark.parametrize("command, key", [("teacher-prep", "num_sequences"),
+                                          ("finetune", "num_examples")])
+def test_empty_data_split_is_one_line_error(command, key, workdir, tmp_path, capsys):
+    cfg = TEACHER_CFG if command == "teacher-prep" else TRANSFER_CFG
+    path = tmp_path / "small.cfg"
+    path.write_text(re.sub(rf"{key} = \d+", f"{key} = 10", cfg))
+    start = ["--ckpt", str(workdir / "sparse.ckpt")] if command == "finetune" else []
+    out = tmp_path / "x.ckpt"
+    rc = main([command, "--config", str(path), *start, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {key} = 10 leaves the validation split empty\n"
+    assert not out.exists()
 
 
 def test_seed_override_changes_output(workdir, tmp_path):

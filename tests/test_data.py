@@ -19,11 +19,11 @@ def test_corpus_split_and_shapes():
 
 
 def test_corpus_deterministic():
-    a = build_synthetic_corpus(seed=3, num_sequences=10, vocab_size=16, seq_len=12)
-    b = build_synthetic_corpus(seed=3, num_sequences=10, vocab_size=16, seq_len=12)
+    a = build_synthetic_corpus(seed=3, num_sequences=20, vocab_size=16, seq_len=12)
+    b = build_synthetic_corpus(seed=3, num_sequences=20, vocab_size=16, seq_len=12)
     for x, y in zip(a.train, b.train):
         np.testing.assert_array_equal(x, y)
-    c = build_synthetic_corpus(seed=4, num_sequences=10, vocab_size=16, seq_len=12)
+    c = build_synthetic_corpus(seed=4, num_sequences=20, vocab_size=16, seq_len=12)
     assert any(not np.array_equal(x, y) for x, y in zip(a.train, c.train))
 
 
@@ -47,6 +47,24 @@ def test_corpus_validation():
         build_synthetic_corpus(seed=0, num_sequences=5, vocab_size=4)
 
 
+# Each split of the 95/5 split needs an item: 11 is the smallest count that
+# leaves one for validation (10 rounds to 10 training items).
+@pytest.mark.parametrize("n, split", [(-3, "training"), (0, "training"), (1, "validation"),
+                                      (5, "validation"), (10, "validation")])
+def test_empty_split_is_contract_error(n, split):
+    with pytest.raises(ContractError, match=f"num_sequences = {n} leaves the {split} split empty"):
+        build_synthetic_corpus(seed=0, num_sequences=n, vocab_size=16, seq_len=8)
+    with pytest.raises(ContractError, match=f"num_examples = {n} leaves the {split} split empty"):
+        make_task_dataset(seed=0, num_examples=n, num_labels=2, vocab_size=16, seq_len=8)
+
+
+def test_smallest_split_has_one_validation_item():
+    corpus = build_synthetic_corpus(seed=0, num_sequences=11, vocab_size=16, seq_len=8)
+    task = make_task_dataset(seed=0, num_examples=11, num_labels=2, vocab_size=16, seq_len=8)
+    assert (len(corpus.train), len(corpus.validation)) == (10, 1)
+    assert (task.train.labels.size, task.validation.labels.size) == (10, 1)
+
+
 def _per_token_corpus(seed, num_sequences, vocab_size, seq_len):
     """Reference: one `Generator.choice` call per token, from one stream."""
     regular = np.arange(NUM_RESERVED, vocab_size)
@@ -66,8 +84,8 @@ def _per_token_corpus(seed, num_sequences, vocab_size, seq_len):
 
 
 @pytest.mark.parametrize("seed,num_sequences,vocab_size,seq_len", [
-    (0, 1, 64, 8), (1, 400, 64, 16), (2, 50, 32, 64), (3, 10, 16, 2),
-    (4, 5, 8, 1), (5, 30, 9, 3), (123456789, 200, 16, 64)])
+    (0, 11, 64, 8), (1, 400, 64, 16), (2, 50, 32, 64), (3, 20, 16, 2),
+    (4, 12, 8, 1), (5, 30, 9, 3), (123456789, 200, 16, 64)])
 def test_corpus_matches_per_token_choice(seed, num_sequences, vocab_size, seq_len):
     corpus = build_synthetic_corpus(seed, num_sequences, vocab_size, seq_len)
     got = corpus.train + corpus.validation

@@ -203,3 +203,26 @@ def test_sparsity_report():
     assert abs(rep.aggregate - 0.85) < 0.01
     assert rep.nonzero_count == rep.total_count - sum(
         int(np.floor(0.85 * model.parameters[n].size)) for n in rep.per_tensor)
+
+
+def test_sparsity_report_counts_signed_zeros_not_nan():
+    """Zeros counted as by `(w == 0).sum()`: -0.0 is a zero, NaN is not; and
+    every field is a Python number, as the metrics CSV prints it."""
+    model = tiny_model()
+    rng = np.random.Generator(np.random.PCG64(5))
+    for name in model.prunable_parameters():
+        flat = model.parameters[name].values.reshape(-1)
+        flat[rng.random(flat.size) < 0.3] = -0.0
+        flat[rng.random(flat.size) < 0.2] = 0.0
+        flat[rng.random(flat.size) < 0.1] = np.nan
+    rep = sparsity_report(model)
+    ref, zeros, total = {}, 0, 0
+    for name in model.prunable_parameters():
+        w = model.parameters[name].values
+        z = int((w == 0).sum())
+        ref[name] = z / w.size
+        zeros, total = zeros + z, total + w.size
+    assert rep.per_tensor == ref and rep.aggregate == zeros / total
+    assert (rep.nonzero_count, rep.total_count) == (total - zeros, total)
+    assert all(type(v) is float for v in [rep.aggregate, *rep.per_tensor.values()])
+    assert type(rep.nonzero_count) is int and type(rep.total_count) is int

@@ -144,3 +144,19 @@ def test_qat_frozen_unknown_activation_passthrough():
     ctx = QatContext(weight_names=set(), frozen=True)
     x = Tensor(np.array([1.5], dtype=np.float32))
     assert ctx.quantize_activation("new.out", x) is x
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad_first", [True, False], ids=["bad-first", "bad-after-data"])
+def test_observer_rejects_non_finite_batch(bad, bad_first):
+    """A running min/max keeps a NaN batch that comes first and drops one
+    that comes after real data, so either order is an error naming the
+    observer."""
+    ctx = QatContext(weight_names=set())
+    good = Tensor(np.array([-1.0, 2.0], dtype=np.float32))
+    poisoned = Tensor(np.array([0.5, bad, 1.0], dtype=np.float32))
+    if not bad_first:
+        ctx.quantize_activation("layer.0.ffn_in.out", good)
+    with pytest.raises(ContractError, match=r"observer 'layer\.0\.ffn_in\.out'.*non-finite"):
+        ctx.quantize_activation("layer.0.ffn_in.out", poisoned)
+    assert ctx.observer_ranges() == ({} if bad_first else {"layer.0.ffn_in.out": (-1.0, 2.0)})

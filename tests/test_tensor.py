@@ -274,6 +274,142 @@ def test_fused_primitive_shape_errors():
         T.attention(a, a, a, np.zeros((2, 1, 1, 3)), 3)
 
 
+# -- in-place kernels against the formulas they were written from -----------
+#
+# Each reference below is the expression a kernel computed before it wrote
+# into its own temporaries; the kernel must give the same bytes, forward and
+# backward, on signed zeros, infinities and NaN as well as on ordinary values.
+
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e30, -1e-40, 3.0])
+quiet = pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf and the like
+
+
+def _with_specials(rng, shape, dtype):
+    x = rng.standard_normal(shape).astype(dtype)
+    flat = x.reshape(-1)
+    flat[rng.choice(flat.size, 3 * SPECIALS.size, replace=False)] = np.tile(SPECIALS, 3)
+    return x
+
+
+def _kernel_grads(out, g):
+    """The input gradients the node's backward gives for the output gradient g."""
+    return [np.asarray(a).tobytes() for a in out._backward(g)]
+
+
+def _ref_gelu(x, g):
+    c = T._SQRT_2_OVER_PI
+    th = np.tanh(c * (x + T.GELU_COEFF * x * x * x))
+    dinner = c * (1.0 + 3.0 * T.GELU_COEFF * x * x)
+    dx = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * dinner
+    return 0.5 * x * (1.0 + th), [g * dx]
+
+
+@quiet
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_bit_equal_to_formula(dtype):
+    rng = np.random.Generator(np.random.PCG64(31))
+    x = _with_specials(rng, (16, 16, 64), dtype)
+    g = _with_specials(rng, x.shape, dtype)
+    out = T.gelu(Tensor(x, requires_grad=True))
+    want_out, want_grads = _ref_gelu(x, g)
+    assert out.values.dtype == dtype and out.values.tobytes() == want_out.tobytes()
+    assert _kernel_grads(out, g) == [w.tobytes() for w in want_grads]
+
+
+def _ref_add_layer_norm(x, y, gain, bias, g, eps=1e-5):
+    d = x + y
+    d -= T._mean_last(d)
+    inv = 1.0 / np.sqrt(T._mean_last(np.square(d)) + eps)
+    xhat = d * inv
+    gx = g * gain
+    dx = inv * (gx - T._mean_last(gx) - xhat * T._mean_last(gx * xhat))
+    return xhat * gain + bias, [dx, dx, (g * xhat).sum(axis=(0, 1)), g.sum(axis=(0, 1))]
+
+
+@quiet
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_add_layer_norm_bit_equal_to_formula(dtype):
+    rng = np.random.Generator(np.random.PCG64(32))
+    x, y, g = (_with_specials(rng, (16, 16, 32), dtype) for _ in range(3))
+    x[3, 5] = -0.0  # a row of signed zeros, plus an exactly cancelling sum
+    y[3, 5] = 0.0
+    gain, bias = (rng.standard_normal(32).astype(dtype) for _ in range(2))
+    gain[:2] = (-0.0, 0.0)
+    args = [Tensor(a, requires_grad=True) for a in (x, y, gain, bias)]
+    out = T.add_layer_norm(*args)
+    want_out, want_grads = _ref_add_layer_norm(x, y, gain, bias, g)
+    assert out.values.dtype == dtype and out.values.tobytes() == want_out.tobytes()
+    assert _kernel_grads(out, g) == [w.tobytes() for w in want_grads]
+
+
+@quiet
+@pytest.mark.parametrize("x_shape", [(16, 32), (16, 16, 32)], ids=["2d", "3d"])
+def test_linear_bit_equal_to_formula(x_shape):
+    rng = np.random.Generator(np.random.PCG64(33))
+    x = _with_specials(rng, x_shape, np.float32)
+    w, b = rng.standard_normal((32, 64)).astype(np.float32), _with_specials(rng, (64,), np.float32)
+    g = rng.standard_normal(x_shape[:-1] + (64,)).astype(np.float32)
+    out = T.linear(Tensor(x), Tensor(w), Tensor(b))
+    assert out.values.tobytes() == (np.matmul(x, w) + b).tobytes()
+    gw = np.matmul(np.swapaxes(x, -1, -2), g)
+    gw = gw.sum(axis=0) if gw.ndim == 3 else gw
+    want = [np.matmul(g, w.T), gw, g.sum(axis=tuple(range(g.ndim - 1)))]
+    assert _kernel_grads(out, g) == [a.tobytes() for a in want]
+
+
+def _ref_attention(q, k, v, mask_bias, heads, g):
+    """Forward and backward of `attention` with the row max by `z.max`."""
+    batch, seq, hidden = q.shape
+    split = (batch, seq, heads, hidden // heads)
+    qh, kh, vh = (t.reshape(split).transpose(0, 2, 1, 3) for t in (q, k, v))
+    c = 1.0 / math.sqrt(split[3])
+    z = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * c + mask_bias
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+
+    def merge(t):
+        return t.transpose(0, 2, 1, 3).reshape(q.shape)
+
+    gh = g.reshape(split).transpose(0, 2, 1, 3)
+    gs = np.matmul(gh, np.swapaxes(vh, -1, -2))
+    gz = s * (gs - (gs * s).sum(axis=-1, keepdims=True)) * c
+    gkt = np.matmul(np.swapaxes(qh, -1, -2), gz)
+    grads = [merge(np.matmul(gz, kh)), merge(gkt.transpose(0, 1, 3, 2)),
+             merge(np.matmul(np.swapaxes(s, -1, -2), gh))]
+    return merge(np.matmul(s, vh)), grads
+
+
+def _attention_mask_bias(rng, batch, heads, seq):
+    """Per-head additive bias: padded keys in every batch row, one fully
+    padded batch row, and score rows holding +-0, +-inf and NaN."""
+    mask = _padded_mask_bias(batch, seq, np.float32)
+    mask[1] = -1e9  # every key padded
+    bias = np.broadcast_to(mask, (batch, heads, seq, seq)).copy()
+    bias[2, 0, 3] = np.where(rng.random(seq) < 0.5, 0.0, -0.0)  # with q = 0 below
+    bias[4, 1, 0, 5] = np.inf
+    bias[4, 1, 1, :] = -np.inf
+    bias[4, 1, 2, ::3] = -np.inf
+    bias[5, 2, 7, 2] = np.nan
+    bias[5, 3, 8, [0, 4]] = (np.nan, np.inf)
+    return bias
+
+
+@quiet
+@pytest.mark.parametrize("dims", [DESK, {**DESK, "hidden": 128}], ids=["desk", "wide"])
+def test_attention_bit_equal_to_formula(dims):
+    batch, seq, hidden, heads = dims["batch"], dims["seq"], dims["hidden"], dims["heads"]
+    rng = np.random.Generator(np.random.PCG64(34))
+    q, k, v, g = (rng.standard_normal((batch, seq, hidden)).astype(np.float32)
+                  for _ in range(4))
+    q[2, 3] = np.where(rng.random(hidden) < 0.5, 0.0, -0.0)  # scores of +-0 in row 3
+    k[6, :, :hidden // heads] = 0.0
+    mask_bias = _attention_mask_bias(rng, batch, heads, seq)
+    out = T.attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)), mask_bias, heads)
+    want_out, want_grads = _ref_attention(q, k, v, mask_bias, heads, g)
+    assert np.isnan(want_out).any() and out.values.tobytes() == want_out.tobytes()
+    assert _kernel_grads(out, g) == [w.tobytes() for w in want_grads]
+
+
 def test_seeded_init_zeros_and_ones():
     np.testing.assert_array_equal(seeded_init((3,), "zeros", 1).values, [0, 0, 0])
     np.testing.assert_array_equal(seeded_init((2,), "ones", 1).values, [1, 1])

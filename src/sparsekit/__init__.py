@@ -6,7 +6,7 @@ from .distill import DistillConfig, combined_loss, kd_loss, soft_probs
 from .model import ConfigError, DataError, EncoderModel, ModelConfig, build_model
 from .pruning import (SparsitySchedule, lock_pattern, prune_step, sparsity_report,
                       target_sparsity)
-from .quant import Observer, QuantParams, activation_qparams, fake_quant, weight_qparams
+from .quant import QuantParams, activation_qparams, fake_quant, weight_qparams
 from .schedule import LrSchedule, RewindWindow, lr_base, lr_rewound
 from .tensor import Tensor, backward, finite_diff_check, seeded_init
 

@@ -19,13 +19,13 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Collection, Dict, Optional
 
 import numpy as np
 
 from .model import EncoderModel, ModelConfig, build_model, parameter_specs
-from .quant import QuantParams, dequantize, quantize_ints, weight_qparams
+from .quant import dequantize, quantize_ints, weight_grid, weight_qparams
 
 MAGIC = b"POFA"
 VERSION = 1
@@ -62,7 +62,8 @@ class TensorRecord:
     def to_dense(self) -> np.ndarray:
         values = self.payload
         if self.scale is not None:
-            values = dequantize(values, QuantParams(self.scale, self.zero_point))
+            grid = replace(weight_grid(self.scale), zero_point=self.zero_point)
+            values = dequantize(values, grid)
         if self.bitmap is None:
             return values.reshape(self.shape).copy()
         flat = np.zeros(self.size, dtype=np.float32)
@@ -106,7 +107,7 @@ def sparse_record(name: str, values: np.ndarray) -> TensorRecord:
 
 
 def q8_record(name: str, values: np.ndarray, scale: float, with_bitmap: bool) -> TensorRecord:
-    q = quantize_ints(values.astype(np.float32).reshape(-1), QuantParams(scale, 0)).astype(np.int8)
+    q = quantize_ints(values.astype(np.float32).reshape(-1), weight_grid(scale)).astype(np.int8)
     bitmap = q != 0 if with_bitmap else None
     return TensorRecord(name, values.shape, q if bitmap is None else q[bitmap], bitmap, scale)
 
@@ -173,22 +174,18 @@ def _pack_blob(b: bytes) -> bytes:
     return struct.pack("<I", len(b)) + b
 
 
-_CONFIG_FIELDS = ("num_layers", "hidden", "heads", "ffn_dim", "vocab",
-                  "max_seq", "has_pooler", "head_kind", "num_labels")
+# ModelConfig field annotation -> parser of the value's text in the config blob
+_PARSE_FIELD = {"int": int, "bool": lambda v: v == "True", "str": str}
 
 
 def _config_blob(cfg: ModelConfig) -> bytes:
-    text = "\n".join(f"{k}={getattr(cfg, k)}" for k in _CONFIG_FIELDS)
+    text = "\n".join(f"{f.name}={getattr(cfg, f.name)}" for f in fields(ModelConfig))
     return text.encode("utf-8")
 
 
 def _config_from_blob(blob: bytes) -> ModelConfig:
     kv = dict(line.split("=", 1) for line in blob.decode("utf-8").splitlines())
-    return ModelConfig(
-        num_layers=int(kv["num_layers"]), hidden=int(kv["hidden"]), heads=int(kv["heads"]),
-        ffn_dim=int(kv["ffn_dim"]), vocab=int(kv["vocab"]), max_seq=int(kv["max_seq"]),
-        has_pooler=kv["has_pooler"] == "True", head_kind=kv["head_kind"],
-        num_labels=int(kv["num_labels"]))
+    return ModelConfig(**{f.name: _PARSE_FIELD[f.type](kv[f.name]) for f in fields(ModelConfig)})
 
 
 def _metrics_blob(metrics: dict) -> bytes:

@@ -52,12 +52,18 @@ class StageConfig:
             raise ConfigError(f"{self.stage} takes no pruning section")
         if self.seq_len > self.model.max_seq:
             raise ConfigError("seq_len exceeds model max_seq")
+        if self.seq_len < 2:
+            raise ConfigError(f"seq_len must be >= 2, got {self.seq_len}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.log_every < 1:
             raise ConfigError(f"log_every must be >= 1, got {self.log_every}")
+        # the mask freezes at end_step, so a window that outlasts training never freezes
+        if self.pruning is not None and self.pruning.end_step >= self.steps:
+            raise ConfigError(f"pruning end_step {self.pruning.end_step} must be below "
+                              f"steps {self.steps}")
 
     def lr_schedule(self) -> LrSchedule:
         rewind = None
@@ -157,8 +163,9 @@ def parse_config_text(text: str) -> StageConfig:
 
     pruning = base.pruning
     if "pruning" in sections:
-        defaults = pruning or SparsitySchedule(0.0, 0.9, 0, 50, 80, 1)
-        pruning = replace(defaults, **sections["pruning"])
+        if pruning is None:
+            raise ConfigError(f"{stage} takes no pruning section")
+        pruning = replace(pruning, **sections["pruning"])
     overrides = {_RENAMED.get(key, key): value
                  for name in ("run", "optimizer", "schedule")
                  for key, value in sections.get(name, {}).items()}

@@ -13,17 +13,11 @@ NUM_RESERVED = 5
 IGNORE_LABEL = -1
 
 
-@dataclass(frozen=True)
-class Vocab:
-    size: int
-
-    def __post_init__(self):
-        if self.size < 8:
-            raise ContractError("vocab size must be >= 8")
-
-    @property
-    def regular_ids(self) -> np.ndarray:
-        return np.arange(NUM_RESERVED, self.size)
+def _regular_ids(vocab_size: int) -> np.ndarray:
+    """The token ids after the reserved ones."""
+    if vocab_size < 8:
+        raise ContractError("vocab size must be >= 8")
+    return np.arange(NUM_RESERVED, vocab_size)
 
 
 def _rng(*key) -> np.random.Generator:
@@ -36,7 +30,7 @@ def _rng(*key) -> np.random.Generator:
 
 @dataclass
 class Corpus:
-    vocab: Vocab
+    vocab_size: int
     train: List[np.ndarray]
     validation: List[np.ndarray]
 
@@ -58,14 +52,15 @@ def build_synthetic_corpus(seed: int, num_sequences: int, vocab_size: int = 64,
     token, which picks from the context's CDF as `Generator.choice(k, p=...)`
     would. Drawing the uniforms up front lets every sequence advance at once.
     """
-    vocab = Vocab(vocab_size)
+    regular = _regular_ids(vocab_size)
     n_train = _split_point("num_sequences", num_sequences)
-    regular = vocab.regular_ids
+    if seq_len < 2:
+        raise ContractError(f"seq_len must be >= 2, got {seq_len}")
     k = regular.size
     rng = _rng("corpus", seed)
     # skewed per-context distributions so the stream has learnable structure
     trans = rng.dirichlet(np.full(k, 0.3), size=(k, k))
-    body = max(seq_len - 2, 0)
+    body = seq_len - 2
     toks = np.empty((num_sequences, 2 + body), dtype=np.int64)
     u = np.empty((num_sequences, body))
     for i in range(num_sequences):
@@ -77,7 +72,7 @@ def build_synthetic_corpus(seed: int, num_sequences: int, vocab_size: int = 64,
         # entries <= u in a sorted row: searchsorted(u, side="right")
         toks[:, t + 2] = (cdf <= u[:, t, None]).sum(axis=1)
     sequences = list(regular[toks])
-    return Corpus(vocab, sequences[:n_train], sequences[n_train:])
+    return Corpus(vocab_size, sequences[:n_train], sequences[n_train:])
 
 
 @dataclass
@@ -92,7 +87,7 @@ def make_mlm_batch(corpus: Corpus, seed: int, batch: int, seq_len: int,
     """BERT-recipe masking: 15% of non-special positions, 80/10/10 replacement."""
     pool = corpus.train if split == "train" else corpus.validation
     rng = _rng("mlm", seed)
-    vocab = corpus.vocab
+    regular = _regular_ids(corpus.vocab_size)
     input_ids = np.full((batch, seq_len), PAD, dtype=np.int64)
     labels = np.full((batch, seq_len), IGNORE_LABEL, dtype=np.int64)
     attention = np.zeros((batch, seq_len), dtype=np.int64)
@@ -113,7 +108,7 @@ def make_mlm_batch(corpus: Corpus, seed: int, batch: int, seq_len: int,
                 if r < 0.8:
                     input_ids[i, j] = MASK
                 elif r < 0.9:
-                    input_ids[i, j] = int(rng.choice(vocab.regular_ids))
+                    input_ids[i, j] = int(rng.choice(regular))
     return MlmBatch(input_ids, labels, attention)
 
 
@@ -126,7 +121,6 @@ class TaskBatch:
 
 @dataclass
 class TaskDataset:
-    vocab: Vocab
     train: TaskBatch
     validation: TaskBatch
     num_labels: int
@@ -142,9 +136,8 @@ def make_task_dataset(seed: int, num_examples: int, num_labels: int,
     """
     if num_labels < 2:
         raise ContractError("need at least two labels")
-    vocab = Vocab(vocab_size)
+    regular = _regular_ids(vocab_size)
     n_train = _split_point("num_examples", num_examples)
-    regular = vocab.regular_ids
     groups = np.array_split(regular, num_labels)
     rng = _rng("task", seed)
     ids = np.full((num_examples, seq_len), PAD, dtype=np.int64)
@@ -164,7 +157,6 @@ def make_task_dataset(seed: int, num_examples: int, num_labels: int,
     perm = rng.permutation(num_examples)
     ids, labels = ids[perm], labels[perm]
     return TaskDataset(
-        vocab,
         TaskBatch(ids[:n_train], labels[:n_train], attention[:n_train]),
         TaskBatch(ids[n_train:], labels[n_train:], attention[n_train:]),
         num_labels,

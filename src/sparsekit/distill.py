@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import ContractError, ShapeError, Tensor, _node
+from .tensor import ContractError, ShapeError, Tensor, _log_softmax, _node, _softmax
 
 
 @dataclass(frozen=True)
@@ -20,12 +20,6 @@ class DistillConfig:
             raise ContractError("temperature must be positive")
         if self.lambda_pt < 0 or self.lambda_kd < 0 or self.lambda_pt + self.lambda_kd == 0:
             raise ContractError("loss weights must be non-negative and not both zero")
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def soft_probs(logits: Tensor, temperature: float) -> Tensor:
@@ -66,9 +60,7 @@ def kd_loss(student_logits: Tensor, teacher_logits: Tensor, temperature: float,
         return out
 
     t = _softmax(zt / temperature)
-    zsc = zs / temperature
-    zsc = zsc - zsc.max(axis=-1, keepdims=True)
-    log_s = zsc - np.log(np.exp(zsc).sum(axis=-1, keepdims=True))
+    log_s = _log_softmax(zs / temperature)
     per_row = -(t * log_s).sum(axis=-1)
     loss = (per_row * w).sum() / count
     s = np.exp(log_s)

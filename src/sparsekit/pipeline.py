@@ -5,7 +5,7 @@ function of (config, input checkpoints) given the seeds it carries.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -16,7 +16,7 @@ from .config import StageConfig
 from .data import (MlmBatch, TaskDataset, build_synthetic_corpus, make_mlm_batch,
                    make_task_dataset, task_minibatch, task_minibatch_indices)
 from .distill import combined_loss, kd_loss
-from .model import (ConfigError, EncoderModel, ForwardResult, build_model,
+from .model import (ConfigError, EncoderModel, ForwardResult, ModelConfig, build_model,
                     prunable_parameter_names)
 from .optim import Adam
 from .pruning import lock_pattern, prune_step, sparsity_report, target_sparsity
@@ -65,10 +65,10 @@ def _make_task(cfg: StageConfig) -> TaskDataset:
 
 
 def _check_same_encoder(a, b):
-    fields = ("num_layers", "hidden", "heads", "ffn_dim", "vocab", "max_seq", "has_pooler")
-    for f in fields:
-        if getattr(a, f) != getattr(b, f):
-            raise ConfigError(f"model config mismatch on {f}: {getattr(a, f)} vs {getattr(b, f)}")
+    for f in fields(ModelConfig):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name not in ("head_kind", "num_labels") and x != y:
+            raise ConfigError(f"model config mismatch on {f.name}: {x} vs {y}")
 
 
 def _mlm_kd_step(student: EncoderModel, teacher: Optional[EncoderModel],
@@ -103,8 +103,12 @@ class _TaskTeacher:
     """
 
     def __init__(self, ckpt: Checkpoint, task: TaskDataset):
-        self.model = model_from_checkpoint(ckpt, head_kind="classify",
-                                           num_labels=task.num_labels)
+        cfg = ckpt.model_config
+        if (cfg.head_kind, cfg.num_labels) != ("classify", task.num_labels):
+            raise ConfigError(f"task teacher must be a {task.num_labels}-label classifier; the "
+                              f"{ckpt.stage} checkpoint has head_kind={cfg.head_kind}, "
+                              f"num_labels={cfg.num_labels}")
+        self.model = model_from_checkpoint(ckpt)
         ids, mask = task.train.input_ids, task.train.attention_mask
         with T.no_grad():
             self.cls = np.concatenate([
@@ -185,12 +189,11 @@ def _train_mlm(cfg: StageConfig, model: EncoderModel,
     return checkpoint_from_model(model, cfg.stage, metrics.summary, cfg.digest()), metrics
 
 
-def _train_task(cfg: StageConfig, start_ckpt: Checkpoint, task: Optional[TaskDataset],
-                teacher_ckpt: Optional[Checkpoint],
+def _train_task(cfg: StageConfig, start_ckpt: Checkpoint, teacher_ckpt: Optional[Checkpoint],
                 quant: Optional[QatContext] = None) -> Tuple[Checkpoint, RunMetrics]:
     """Task path of transfer, qat and the baseline: a classifier built from
-    `start_ckpt` trains on minibatches of `task`, then is evaluated on the
-    validation split and checkpointed.
+    `start_ckpt` trains on minibatches of the config's task, then is
+    evaluated on the validation split and checkpointed.
 
     Transfer and qat keep the zero pattern of `start_ckpt`; the baseline
     prunes on its own schedule. With `quant` the forwards are fake-quantized,
@@ -200,7 +203,7 @@ def _train_task(cfg: StageConfig, start_ckpt: Checkpoint, task: Optional[TaskDat
     if cfg.kd_enabled and teacher_ckpt is None:
         raise ConfigError(f"{cfg.stage} with distillation needs a task teacher checkpoint")
     _check_same_encoder(cfg.model, start_ckpt.model_config)
-    task = task or _make_task(cfg)
+    task = _make_task(cfg)
     model = model_from_checkpoint(start_ckpt, head_kind="classify",
                                   num_labels=task.num_labels, seed=cfg.seed)
     masks = lock_pattern(model) if cfg.pruning is None else None
@@ -214,10 +217,9 @@ def _train_task(cfg: StageConfig, start_ckpt: Checkpoint, task: Optional[TaskDat
     metrics = _train(cfg, model, step_loss, masks)
     q8_names, qat_summary = (), {}
     if quant is not None:
-        ranges = quant.observer_ranges()
-        qat_summary = {"activation_ranges": {k: list(v) for k, v in sorted(ranges.items())}}
-        q8_names = model.prunable_parameters()
-        quant = QatContext.from_ranges(q8_names, ranges)
+        q8_names = quant.weight_names
+        qat_summary = {"activation_ranges": {k: list(v) for k, v in sorted(quant.ranges.items())}}
+        quant = QatContext.from_ranges(q8_names, quant.ranges)
     fw = model.forward_classify(task.validation, quant=quant)
     acc = float((fw.logits.values.argmax(axis=-1) == task.validation.labels).mean())
     metrics.summary = {"val_accuracy": acc, "val_loss": float(fw.loss.values),
@@ -243,7 +245,6 @@ def run_student_prune(cfg: StageConfig, teacher_ckpt: Checkpoint) -> Tuple[Check
 
 
 def run_transfer(cfg: StageConfig, start_ckpt: Checkpoint,
-                 task: Optional[TaskDataset] = None,
                  teacher_ckpt: Optional[Checkpoint] = None) -> Tuple[Checkpoint, RunMetrics]:
     """Task fine-tuning with the sparsity pattern locked.
 
@@ -251,11 +252,10 @@ def run_transfer(cfg: StageConfig, start_ckpt: Checkpoint,
     a dense task teacher checkpoint is required.
     """
     _expect_stage(cfg, "transfer")
-    return _train_task(cfg, start_ckpt, task, teacher_ckpt)
+    return _train_task(cfg, start_ckpt, teacher_ckpt)
 
 
 def run_qat(cfg: StageConfig, finetuned_ckpt: Checkpoint,
-            task: Optional[TaskDataset] = None,
             teacher_ckpt: Optional[Checkpoint] = None) -> Tuple[Checkpoint, RunMetrics]:
     """Quantization-aware training on the fine-tuned model, then int8 export.
 
@@ -265,16 +265,15 @@ def run_qat(cfg: StageConfig, finetuned_ckpt: Checkpoint,
     """
     _expect_stage(cfg, "qat")
     qat = QatContext(prunable_parameter_names(finetuned_ckpt.model_config))
-    return _train_task(cfg, finetuned_ckpt, task, teacher_ckpt, qat)
+    return _train_task(cfg, finetuned_ckpt, teacher_ckpt, qat)
 
 
 def run_finetune_prune_baseline(cfg: StageConfig, dense_ckpt: Checkpoint,
-                                task: Optional[TaskDataset] = None,
                                 teacher_ckpt: Optional[Checkpoint] = None
                                 ) -> Tuple[Checkpoint, RunMetrics]:
     """Baseline: GMP applied during task fine-tuning instead of pre-training."""
     _expect_stage(cfg, "finetune-prune-baseline")
-    return _train_task(cfg, dense_ckpt, task, teacher_ckpt)
+    return _train_task(cfg, dense_ckpt, teacher_ckpt)
 
 
 __all__ = [

@@ -196,10 +196,19 @@ def gelu(a: Tensor) -> Tensor:
     return _node(out, (a,), back)
 
 
+# softmax and log-softmax along the last axis, each shifted by the row max
+def _softmax(z: np.ndarray) -> np.ndarray:
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
 def softmax_last_axis(a: Tensor) -> Tensor:
-    z = a.values - a.values.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = _softmax(a.values)
 
     def back(g):
         dot = (g * s).sum(axis=-1, keepdims=True)
@@ -367,9 +376,7 @@ def cross_entropy_with_targets(logits: Tensor, targets: np.ndarray, ignore_index
         raise ShapeError(f"cross-entropy: logits {logits.shape} vs targets {targets.shape}")
     sel = targets != ignore_index
     count = int(sel.sum())
-    z = logits.values - logits.values.max(axis=-1, keepdims=True)
-    logsum = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    logp = z - logsum
+    logp = _log_softmax(logits.values)
     if count == 0:
         out = _node(np.zeros((), dtype=logits.dtype), (logits,), lambda g: (np.zeros_like(logits.values),))
         out.degenerate = True

@@ -220,3 +220,30 @@ def test_out_of_range_run_value_is_one_line_error(key, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: {key} must be >= 1, got 0\n"
     assert not (tmp_path / "x.ckpt").exists()
+
+
+# [run] seq_len below 2 leaves no room for the two context tokens.
+@pytest.mark.parametrize("command, value", [("teacher-prep", 0), ("finetune", 1)])
+def test_short_seq_len_is_one_line_error(command, value, workdir, tmp_path, capsys):
+    cfg = TEACHER_CFG if command == "teacher-prep" else TRANSFER_CFG
+    path = tmp_path / "short.cfg"
+    path.write_text(cfg.replace("[run]\n", f"[run]\nseq_len = {value}\n"))
+    start = ["--ckpt", str(workdir / "sparse.ckpt")] if command == "finetune" else []
+    out = tmp_path / "x.ckpt"
+    rc = main([command, "--config", str(path), *start, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: seq_len must be >= 2, got {value}\n"
+    assert not out.exists()
+
+
+def test_mlm_task_teacher_is_one_line_error(workdir, tmp_path, capsys):
+    cfg = tmp_path / "kd.cfg"
+    cfg.write_text(TRANSFER_CFG.replace("kd = false\n", "kd = true\n"))
+    out = tmp_path / "x.ckpt"
+    rc = main(["finetune", "--config", str(cfg), "--ckpt", str(workdir / "sparse.ckpt"),
+               "--teacher", str(workdir / "teacher.ckpt"), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: task teacher must be a 3-label classifier") \
+        and err.count("\n") == 1
+    assert not out.exists()

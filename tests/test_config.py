@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from sparsekit.config import (StageConfig, default_config, load_config,
@@ -151,3 +153,30 @@ def test_out_of_range_run_values_rejected(key, value):
         default_config("teacher-prep", **{key: value})
     with pytest.raises(ConfigError, match=f"{key} must be >= 1"):
         parse_config_text(f"[run]\nstage = teacher-prep\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize("value", [1, 0, -1])
+def test_seq_len_below_two_rejected(value):
+    with pytest.raises(ConfigError, match=f"seq_len must be >= 2, got {value}"):
+        default_config("transfer", seq_len=value)
+    with pytest.raises(ConfigError, match=f"seq_len must be >= 2, got {value}"):
+        parse_config_text(f"[run]\nstage = teacher-prep\nseq_len = {value}\n")
+
+
+# The mask freezes at end_step; a window that reaches the last step never
+# freezes, with learning-rate rewinding on or off.
+@pytest.mark.parametrize("end_step", [10, 15])
+@pytest.mark.parametrize("lrr", [True, False])
+@pytest.mark.parametrize("stage", ["student-prune", "finetune-prune-baseline"])
+def test_prune_window_must_end_before_last_step(stage, lrr, end_step):
+    want = f"pruning end_step {end_step} must be below steps 10"
+    sp = default_config(stage).pruning
+    with pytest.raises(ConfigError, match=want):
+        default_config(stage, steps=10, lrr_enabled=lrr,
+                       pruning=replace(sp, policy_end_step=5, end_step=end_step))
+    text = (f"[run]\nstage = {stage}\nsteps = 10\nlrr = {str(lrr).lower()}\n"
+            f"[pruning]\npolicy_end_step = 5\nend_step = {end_step}\n")
+    with pytest.raises(ConfigError, match=want):
+        parse_config_text(text)
+    assert default_config(stage, steps=10, lrr_enabled=lrr,
+                          pruning=replace(sp, policy_end_step=5, end_step=9)).steps == 10

@@ -85,7 +85,7 @@ def _per_token_corpus(seed, num_sequences, vocab_size, seq_len):
 
 @pytest.mark.parametrize("seed,num_sequences,vocab_size,seq_len", [
     (0, 11, 64, 8), (1, 400, 64, 16), (2, 50, 32, 64), (3, 20, 16, 2),
-    (4, 12, 8, 1), (5, 30, 9, 3), (123456789, 200, 16, 64)])
+    (5, 30, 9, 3), (123456789, 200, 16, 64)])
 def test_corpus_matches_per_token_choice(seed, num_sequences, vocab_size, seq_len):
     corpus = build_synthetic_corpus(seed, num_sequences, vocab_size, seq_len)
     got = corpus.train + corpus.validation
@@ -93,6 +93,13 @@ def test_corpus_matches_per_token_choice(seed, num_sequences, vocab_size, seq_le
     assert len(got) == len(want)
     for x, y in zip(got, want):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+# a sequence starts with two context tokens, so a shorter one cannot be built
+@pytest.mark.parametrize("seq_len", [1, 0])
+def test_corpus_seq_len_below_two_is_contract_error(seq_len):
+    with pytest.raises(ContractError, match=f"seq_len must be >= 2, got {seq_len}"):
+        build_synthetic_corpus(4, 12, 8, seq_len)
 
 
 @pytest.fixture(scope="module")

@@ -133,6 +133,23 @@ def test_transfer_needs_teacher_when_kd_on(stage, sparse_ckpt):
         run(default_config(stage, seed=4), sparse_ckpt)
 
 
+# The task teacher's head is used as it is stored, so it must classify the
+# stage's labels: an MLM checkpoint or another label count is a ConfigError.
+@pytest.mark.parametrize("teacher", ["mlm", "3-label"])
+@pytest.mark.parametrize("stage", ["transfer", "qat", "finetune-prune-baseline"])
+def test_task_teacher_must_classify_the_task(stage, teacher, teacher_ckpt, sparse_ckpt,
+                                             task_teacher_ckpt):
+    run = {"transfer": run_transfer, "qat": run_qat,
+           "finetune-prune-baseline": run_finetune_prune_baseline}[stage]
+    cfg = default_config(stage, seed=4)
+    cfg = replace(cfg, data=replace(cfg.data, num_labels=4))
+    ckpt, head = {"mlm": (teacher_ckpt, "teacher-prep checkpoint has head_kind=mlm"),
+                  "3-label": (task_teacher_ckpt,
+                              "transfer checkpoint has head_kind=classify, num_labels=3")}[teacher]
+    with pytest.raises(ConfigError, match=f"task teacher must be a 4-label classifier; the {head}"):
+        run(cfg, sparse_ckpt, teacher_ckpt=ckpt)
+
+
 def test_qat_exports_q8(qat_ckpt):
     names = prunable_parameter_names(qat_ckpt.model_config)
     for name in names:

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from sparsekit.quant import (Observer, QatContext, QuantParams,
-                             activation_qparams, dequantize, fake_quant,
-                             quantize_ints, weight_qparams)
+from sparsekit.quant import (QatContext, QuantParams, activation_qparams, dequantize,
+                             fake_quant, quantize_ints, weight_qparams)
 from sparsekit.tensor import ContractError, Tensor, backward
 
 
@@ -28,8 +27,7 @@ def test_weight_extremes_map_to_pm127():
 
 
 def test_activation_qparams_range_includes_zero():
-    obs = Observer().observe(np.array([0.5, 2.0]))
-    qp = activation_qparams(obs)
+    qp = activation_qparams(0.5, 2.0)
     # range widened to [0, 2]
     assert qp.scale == pytest.approx(2.0 / 255)
     assert qp.zero_point == 0
@@ -37,31 +35,25 @@ def test_activation_qparams_range_includes_zero():
 
 
 def test_activation_qparams_negative_range():
-    obs = Observer().observe(np.array([-1.0, 3.0]))
-    qp = activation_qparams(obs)
+    qp = activation_qparams(-1.0, 3.0)
     assert qp.scale == pytest.approx(4.0 / 255)
     assert qp.zero_point == round(1.0 / qp.scale)
     # zero is exactly representable
     assert dequantize(np.array([qp.zero_point]), qp)[0] == 0.0
 
 
-def test_activation_qparams_uninitialized():
-    with pytest.raises(ContractError):
-        activation_qparams(Observer())
-
-
 def test_activation_qparams_constant_signal():
-    obs = Observer().observe(np.zeros(3))
-    qp = activation_qparams(obs)
+    qp = activation_qparams(0.0, 0.0)
     assert qp.scale == 1.0 and qp.zero_point == 0
 
 
 def test_observer_running_extrema():
-    obs = Observer()
-    obs.observe(np.array([1.0, 2.0]))
-    obs.observe(np.array([-3.0, 0.5]))
-    assert obs.running_min == -3.0
-    assert obs.running_max == 2.0
+    # each bound moves on its own: the max from the first batch, the min from
+    # the second, and the third batch inside the range moves neither
+    ctx = QatContext(weight_names=set())
+    for batch in ([1.0, 2.0], [-3.0, 0.5], [0.0, 1.5]):
+        ctx.quantize_activation("h.out", Tensor(np.array(batch, dtype=np.float32)))
+    assert ctx.ranges == {"h.out": (-3.0, 2.0)}
 
 
 def test_quantize_dequantize_error_bound():
@@ -75,8 +67,7 @@ def test_quantize_dequantize_error_bound():
 def test_activation_roundtrip_error_bound():
     rng = np.random.Generator(np.random.PCG64(1))
     x = rng.uniform(-2, 5, size=100_000).astype(np.float32)
-    obs = Observer().observe(x)
-    qp = activation_qparams(obs)
+    qp = activation_qparams(float(x.min()), float(x.max()))
     err = np.abs(dequantize(quantize_ints(x, qp), qp) - x)
     assert err.max() <= qp.scale / 2 + 1e-6
 
@@ -102,7 +93,7 @@ def test_fake_quant_matches_int_path():
 def test_fake_quant_ste_gradient():
     # values inside the representable range pass the gradient through,
     # clamped values block it
-    qp = QuantParams(scale=0.1, zero_point=0, scheme="symmetric-weight")
+    qp = QuantParams(scale=0.1, zero_point=0, qmin=-127, qmax=127)
     x = Tensor(np.array([0.5, 20.0, -20.0, -0.3], dtype=np.float32),
                requires_grad=True)
     from sparsekit.tensor import mean
@@ -114,7 +105,8 @@ def test_qat_context_weight_gating():
     ctx = QatContext(weight_names={"a.weight"})
     w = Tensor(np.array([0.3, -0.6], dtype=np.float32))
     out = ctx.quantize_weight("a.weight", w)
-    assert not np.array_equal(out.values, w.values) or True  # projected
+    assert not np.array_equal(out.values, w.values)  # 0.3 is off the grid
+    np.testing.assert_array_equal(out.values, fake_quant(w, weight_qparams(w)).values)
     skipped = ctx.quantize_weight("b.weight", w)
     assert skipped is w
 
@@ -123,27 +115,32 @@ def test_qat_context_observers_update_then_freeze():
     ctx = QatContext(weight_names=set())
     x1 = Tensor(np.array([0.0, 1.0], dtype=np.float32))
     ctx.quantize_activation("h.out", x1)
-    assert ctx.observer_ranges()["h.out"] == (0.0, 1.0)
+    assert ctx.ranges["h.out"] == (0.0, 1.0)
     ctx.quantize_activation("h.out", Tensor(np.array([-2.0, 3.0], dtype=np.float32)))
-    assert ctx.observer_ranges()["h.out"] == (-2.0, 3.0)
+    assert ctx.ranges["h.out"] == (-2.0, 3.0)
     ctx.frozen = True
-    ctx.quantize_activation("h.out", Tensor(np.array([-9.0, 9.0], dtype=np.float32)))
-    assert ctx.observer_ranges()["h.out"] == (-2.0, 3.0)
+    frozen = ctx.quantize_activation("h.out", Tensor(np.array([-9.0, 9.0], dtype=np.float32)))
+    assert ctx.ranges["h.out"] == (-2.0, 3.0)
+    # a frozen context clamps to the range it kept
+    np.testing.assert_allclose(frozen.values, [-2.0, 3.0], atol=5.0 / 255)
 
 
 def test_qat_context_from_ranges_matches():
     ctx = QatContext(weight_names=set())
     x = Tensor(np.linspace(-1, 4, 64, dtype=np.float32))
     live = ctx.quantize_activation("f.out", x)
-    restored = QatContext.from_ranges(set(), ctx.observer_ranges())
+    # the ranges as a checkpoint's metrics hold them: JSON lists
+    restored = QatContext.from_ranges(set(), {k: list(v) for k, v in ctx.ranges.items()})
     frozen = restored.quantize_activation("f.out", x)
     np.testing.assert_array_equal(live.values, frozen.values)
+    assert restored.ranges == ctx.ranges
 
 
 def test_qat_frozen_unknown_activation_passthrough():
-    ctx = QatContext(weight_names=set(), frozen=True)
+    ctx = QatContext.from_ranges(set(), {"known.out": (0.0, 1.0)})
     x = Tensor(np.array([1.5], dtype=np.float32))
     assert ctx.quantize_activation("new.out", x) is x
+    assert ctx.ranges == {"known.out": (0.0, 1.0)}
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -159,4 +156,4 @@ def test_observer_rejects_non_finite_batch(bad, bad_first):
         ctx.quantize_activation("layer.0.ffn_in.out", good)
     with pytest.raises(ContractError, match=r"observer 'layer\.0\.ffn_in\.out'.*non-finite"):
         ctx.quantize_activation("layer.0.ffn_in.out", poisoned)
-    assert ctx.observer_ranges() == ({} if bad_first else {"layer.0.ffn_in.out": (-1.0, 2.0)})
+    assert ctx.ranges == ({} if bad_first else {"layer.0.ffn_in.out": (-1.0, 2.0)})

@@ -138,6 +138,8 @@ def make_task_dataset(seed: int, num_examples: int, num_labels: int,
         raise ContractError("need at least two labels")
     regular = _regular_ids(vocab_size)
     n_train = _split_point("num_examples", num_examples)
+    if seq_len < 2:
+        raise ContractError(f"seq_len must be >= 2, got {seq_len}")
     groups = np.array_split(regular, num_labels)
     rng = _rng("task", seed)
     ids = np.full((num_examples, seq_len), PAD, dtype=np.int64)
@@ -145,10 +147,12 @@ def make_task_dataset(seed: int, num_examples: int, num_labels: int,
     attention = np.ones((num_examples, seq_len), dtype=np.int64)
     for i in range(num_examples):
         g = i % num_labels  # round-robin keeps labels balanced within 1
+        # a[rng.integers(0, a.size, n)] draws what rng.choice(a, n) draws
+        group = groups[g]
         body = np.where(
             rng.random(seq_len - 2) < 0.75,
-            rng.choice(groups[g], size=seq_len - 2),
-            rng.choice(regular, size=seq_len - 2),
+            group[rng.integers(0, group.size, seq_len - 2)],
+            regular[rng.integers(0, regular.size, seq_len - 2)],
         )
         ids[i, 0] = CLS
         ids[i, 1:-1] = body

@@ -94,12 +94,15 @@ class _TaskTeacher:
     drew.
 
     The cache stops at the CLS state because that is the last point where a
-    row's value does not depend on its batch-mates. numpy's stacked matmul
-    runs one gemm per sample, and every layer norm and softmax reduces along
-    the last axis, so a row encodes to the same bytes in a chunk as in its
-    minibatch. The pooler and head are 2-D gemms over the whole minibatch,
-    whose rounding depends on a row's position in the tile; cached logits
-    would not match a per-step forward byte for byte.
+    row's value does not depend on its batch-mates. `linear` runs one 2-D
+    gemm over all batch x seq rows, and at the encoder's shapes each output
+    row of such a gemm has the same bytes whatever rows surround it, once
+    there are 16 or more. Attention runs one gemm per sample and head, and
+    every layer norm and softmax reduces along the last axis. So a row
+    encodes to the same bytes in a chunk as in its minibatch. The pooler
+    and head are 2-D gemms over the minibatch's CLS rows alone, few and
+    narrow, whose rounding depends on a row's position in the tile; cached
+    logits would not match a per-step forward byte for byte.
     """
 
     def __init__(self, ckpt: Checkpoint, task: TaskDataset):

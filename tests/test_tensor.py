@@ -199,7 +199,9 @@ def _fused_case(name, dtype, seed, batch, seq, hidden, out, heads):
         inputs = {"x": leaf(*x_shape), "w": leaf(hidden, out), "b": leaf(out)}
         out_shape = x_shape[:-1] + (out,)
         fused = lambda i: T.linear(i["x"], i["w"], i["b"])
-        unfused = lambda i: T.add(T.matmul(i["x"], i["w"]), i["b"])
+        rows = math.prod(x_shape[:-1])  # linear runs on x viewed as (rows, hidden)
+        unfused = lambda i: T.reshape(T.add(T.matmul(T.reshape(i["x"], (rows, hidden)), i["w"]),
+                                            i["b"]), out_shape)
     elif name == "add_layer_norm":
         inputs = {"x": leaf(batch, seq, hidden), "y": leaf(batch, seq, hidden),
                   "gain": leaf(hidden), "bias": leaf(hidden)}
@@ -350,11 +352,73 @@ def test_linear_bit_equal_to_formula(x_shape):
     w, b = rng.standard_normal((32, 64)).astype(np.float32), _with_specials(rng, (64,), np.float32)
     g = rng.standard_normal(x_shape[:-1] + (64,)).astype(np.float32)
     out = T.linear(Tensor(x), Tensor(w), Tensor(b))
-    assert out.values.tobytes() == (np.matmul(x, w) + b).tobytes()
+    x2, g2 = x.reshape(-1, 32), g.reshape(-1, 64)
+    assert out.values.tobytes() == (x2 @ w + b).tobytes()
+    want = [g2 @ w.T, x2.T @ g2, g2.sum(axis=0)]
+    assert _kernel_grads(out, g) == [a.tobytes() for a in want]
+
+
+def _ref_linear_per_sample(x, w, b, g):
+    """Forward and backward of `linear` as numpy's stacked matmul runs them:
+    one gemm per sample, and the weight gradient summed over the batch."""
     gw = np.matmul(np.swapaxes(x, -1, -2), g)
     gw = gw.sum(axis=0) if gw.ndim == 3 else gw
-    want = [np.matmul(g, w.T), gw, g.sum(axis=tuple(range(g.ndim - 1)))]
-    assert _kernel_grads(out, g) == [a.tobytes() for a in want]
+    grads = [np.matmul(g, np.swapaxes(w, -1, -2)), gw, g.sum(axis=tuple(range(g.ndim - 1)))]
+    return np.matmul(x, w) + b, grads
+
+
+WIDE = {"batch": 16, "seq": 16, "hidden": 128, "out": 512}  # prune-wide's ffn_in
+
+
+@pytest.mark.parametrize("dims", [SMALL, DESK, WIDE, {**WIDE, "hidden": 512, "out": 128}],
+                         ids=["small", "desk", "wide-ffn-in", "wide-ffn-out"])
+def test_linear_3d_agrees_with_per_sample_formula(dims):
+    """In float64 the row-view gemms give the per-sample result up to
+    rounding: within 1e-12 of each result's largest magnitude."""
+    rng = np.random.Generator(np.random.PCG64(35))
+    batch, seq, n_in, n_out = dims["batch"], dims["seq"], dims["hidden"], dims["out"]
+    x, g = rng.standard_normal((batch, seq, n_in)), rng.standard_normal((batch, seq, n_out))
+    w, b = rng.standard_normal((n_in, n_out)), rng.standard_normal(n_out)
+    out = T.linear(Tensor(x), Tensor(w), Tensor(b))
+    want_out, want_grads = _ref_linear_per_sample(x, w, b, g)
+    for got, want in zip([out.values, *out._backward(g)], [want_out, *want_grads]):
+        assert got.shape == want.shape and got.dtype == np.float64
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@quiet
+@pytest.mark.parametrize("n_in, n_out", [(32, 32), (32, 3), (128, 128), (128, 3)],
+                         ids=["desk-pooler", "desk-head", "wide-pooler", "wide-head"])
+def test_linear_2d_bytes_unchanged(n_in, n_out):
+    """A 2-D input (the pooler and classify head on CLS states) runs the
+    same products as the per-sample formula, so its bytes did not move."""
+    rng = np.random.Generator(np.random.PCG64(36))
+    x = _with_specials(rng, (16, n_in), np.float32)
+    w = rng.standard_normal((n_in, n_out)).astype(np.float32)
+    b = rng.standard_normal(n_out).astype(np.float32)
+    g = rng.standard_normal((16, n_out)).astype(np.float32)
+    out = T.linear(Tensor(x), Tensor(w), Tensor(b))
+    want_out, want_grads = _ref_linear_per_sample(x, w, b, g)
+    assert out.values.tobytes() == want_out.tobytes()
+    assert _kernel_grads(out, g) == [a.tobytes() for a in want_grads]
+
+
+@pytest.mark.parametrize("hidden, ffn, vocab", [(32, 64, 64), (128, 512, 64)],
+                         ids=["desk", "wide"])
+def test_linear_rows_independent_of_batch_mates(hidden, ffn, vocab):
+    """Each sequence's output rows have the same bytes in a 64-sequence chunk
+    as in a 16-sequence minibatch or alone, at every linear shape of the
+    encoder and MLM head, seq 16. The task teacher's chunked cache relies on
+    this."""
+    rng = np.random.Generator(np.random.PCG64(37))
+    for n_in, n_out in [(hidden, hidden), (hidden, ffn), (ffn, hidden), (hidden, vocab)]:
+        x = rng.standard_normal((64, 16, n_in)).astype(np.float32)
+        w = (rng.standard_normal((n_in, n_out)) * 0.02).astype(np.float32)
+        b = (rng.standard_normal(n_out) * 0.02).astype(np.float32)
+        chunk = T.linear(Tensor(x), Tensor(w), Tensor(b)).values
+        for i, n in [(0, 16), (16, 16), (32, 16), (48, 16), (5, 1), (63, 1)]:
+            part = T.linear(Tensor(x[i:i + n]), Tensor(w), Tensor(b)).values
+            assert part.tobytes() == chunk[i:i + n].tobytes(), f"{n_in}x{n_out}, {n} from {i}"
 
 
 def _ref_attention(q, k, v, mask_bias, heads, g):

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -35,13 +34,10 @@ def soft_probs(logits: Tensor, temperature: float) -> Tensor:
     return _node(s, (logits,), back)
 
 
-def kd_loss(student_logits: Tensor, teacher_logits: Tensor, temperature: float,
-            row_weights: Optional[np.ndarray] = None) -> Tensor:
-    """Soft cross-entropy between temperature-softened distributions.
-
-    Mean over rows (or the weighted rows when row_weights is given, e.g. the
-    masked prediction sites). The teacher side is a constant: no gradient
-    flows to it.
+def kd_loss(student_logits: Tensor, teacher_logits: Tensor, temperature: float) -> Tensor:
+    """Soft cross-entropy between temperature-softened distributions, the
+    mean over rows. With no rows the loss is 0 and flagged degenerate. The
+    teacher side is a constant: no gradient flows to it.
     """
     if temperature <= 0:
         raise ContractError("temperature must be positive")
@@ -50,23 +46,21 @@ def kd_loss(student_logits: Tensor, teacher_logits: Tensor, temperature: float,
             f"kd_loss: student {student_logits.shape} vs teacher {teacher_logits.shape}")
     zs = student_logits.values.reshape(-1, student_logits.shape[-1])
     zt = teacher_logits.values.reshape(-1, teacher_logits.shape[-1])
-    n_rows = zs.shape[0]
-    w = np.ones(n_rows, dtype=zs.dtype) if row_weights is None else row_weights.reshape(-1).astype(zs.dtype)
-    count = w.sum()
-    if count == 0:
+    if zs.shape[0] == 0:
         out = _node(np.zeros((), dtype=zs.dtype), (student_logits,),
                     lambda g: (np.zeros_like(student_logits.values),))
         out.degenerate = True
         return out
+    count = zs.dtype.type(zs.shape[0])
 
     t = _softmax(zt / temperature)
     log_s = _log_softmax(zs / temperature)
     per_row = -(t * log_s).sum(axis=-1)
-    loss = (per_row * w).sum() / count
+    loss = per_row.sum() / count
     s = np.exp(log_s)
 
     def back(g):
-        grad = (s - t) * (w / count)[:, None] / temperature
+        grad = (s - t) * (1 / count) / temperature
         return (g * grad.reshape(student_logits.shape),)
 
     return _node(np.asarray(loss, dtype=zs.dtype), (student_logits,), back)

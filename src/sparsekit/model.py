@@ -9,7 +9,7 @@ Parameter names are a stable public contract:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -120,7 +120,16 @@ class EncoderModel:
             out = quant.quantize_activation(prefix + ".out", out)
         return out
 
-    def encode(self, input_ids: np.ndarray, attention_mask: np.ndarray, quant=None) -> Tensor:
+    def encode(self, input_ids: np.ndarray, attention_mask: np.ndarray, quant=None,
+               rows: Optional[np.ndarray] = None) -> Tensor:
+        """Final hidden states, (batch, seq, hidden).
+
+        With `rows`, flat indices into the batch x seq positions, only those
+        rows' final states are returned, as (len(rows), hidden) in the order
+        given. Every layer but the last runs in full. The last layer runs k
+        and v over every position and everything else at the rows alone:
+        each row attends as a one-query sequence to its own sample's keys.
+        """
         input_ids = np.asarray(input_ids)
         cfg = self.config
         if input_ids.min() < 0 or input_ids.max() >= cfg.vocab:
@@ -133,6 +142,9 @@ class EncoderModel:
         def add_ln(x: Tensor, y: Tensor, prefix: str) -> Tensor:
             return T.add_layer_norm(x, y, params[prefix + ".gain"], params[prefix + ".bias"])
 
+        def flat(t: Tensor) -> Tensor:
+            return T.reshape(t, (batch * seq, cfg.hidden))
+
         tok = T.embedding_lookup(params["embeddings.token"], input_ids)
         pos = T.position_embedding(params["embeddings.position"], batch, seq)
         x = add_ln(tok, pos, "embeddings.ln")
@@ -142,23 +154,36 @@ class EncoderModel:
 
         for i in range(cfg.num_layers):
             p = f"layer.{i}"
-            ctx = T.attention(self._linear(x, f"{p}.q", quant), self._linear(x, f"{p}.k", quant),
-                              self._linear(x, f"{p}.v", quant), mask_bias, cfg.heads)
+            k, v = self._linear(x, f"{p}.k", quant), self._linear(x, f"{p}.v", quant)
+            if rows is not None and i == cfg.num_layers - 1:
+                # each row as a 1-query sequence, with its sample's keys and values
+                sample = rows // seq
+                x = T.embedding_lookup(flat(x), rows[:, None])
+                k, v = T.embedding_lookup(k, sample), T.embedding_lookup(v, sample)
+                mask_bias = mask_bias[sample]
+            ctx = T.attention(self._linear(x, f"{p}.q", quant), k, v, mask_bias, cfg.heads)
             x = add_ln(x, self._linear(ctx, f"{p}.attn_out", quant), f"{p}.ln1")
             hmid = T.gelu(self._linear(x, f"{p}.ffn_in", quant))
             x = add_ln(x, self._linear(hmid, f"{p}.ffn_out", quant), f"{p}.ln2")
-        return x
+        if rows is None:
+            return x
+        if cfg.num_layers == 0:
+            return T.embedding_lookup(flat(x), rows)
+        return T.reshape(x, (rows.size, cfg.hidden))
 
-    def forward_mlm(self, batch, quant=None) -> ForwardResult:
+    def forward_mlm(self, batch) -> ForwardResult:
+        """MLM logits and loss at the masked positions (labels other than
+        the ignore marker) alone. The logits are (n_masked, vocab), in
+        row-major order of the masked positions; the loss is their mean
+        cross-entropy, 0 and flagged degenerate when nothing is masked."""
         if self.config.head_kind != "mlm":
             raise ConfigError("model has no MLM head")
-        hidden = self.encode(batch.input_ids, batch.attention_mask, quant)
+        labels = batch.labels.reshape(-1)
+        rows = np.flatnonzero(labels != T.IGNORE_INDEX)
+        hidden = self.encode(batch.input_ids, batch.attention_mask, rows=rows)
         logits = T.linear(hidden, self.parameters["mlm_head.weight"],
                           self.parameters["mlm_head.bias"])
-        b, s = batch.input_ids.shape
-        flat = T.reshape(logits, (b * s, self.config.vocab))
-        loss = T.cross_entropy_with_targets(flat, batch.labels.reshape(-1))
-        return ForwardResult(logits, loss)
+        return ForwardResult(logits, T.cross_entropy_with_targets(logits, labels[rows]))
 
     def classify_logits(self, cls: Tensor, quant=None) -> Tensor:
         """Pooler (when present) and classification head over CLS states

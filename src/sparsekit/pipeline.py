@@ -73,14 +73,14 @@ def _check_same_encoder(a, b):
 
 def _mlm_kd_step(student: EncoderModel, teacher: Optional[EncoderModel],
                  batch: MlmBatch, distill) -> StepLoss:
-    """Combined loss on masked positions; returns (loss, l_pt, l_kd)."""
+    """Combined loss on masked positions; returns (loss, l_pt, l_kd). Both
+    forwards give logits at the masked positions alone, in the same order."""
     fw = student.forward_mlm(batch)
     if teacher is None:
         return fw.loss, float(fw.loss.values), 0.0
     with T.no_grad():
         t_logits = teacher.forward_mlm(batch).logits
-    weights = (batch.labels.reshape(-1) != -1).astype(np.float32)
-    l_kd = kd_loss(fw.logits, t_logits, distill.temperature, row_weights=weights)
+    l_kd = kd_loss(fw.logits, t_logits, distill.temperature)
     loss = combined_loss(fw.loss, l_kd, distill)
     return loss, float(fw.loss.values), float(l_kd.values)
 
@@ -103,6 +103,14 @@ class _TaskTeacher:
     and head are 2-D gemms over the minibatch's CLS rows alone, few and
     narrow, whose rounding depends on a row's position in the tile; cached
     logits would not match a per-step forward byte for byte.
+
+    For the same reason the classify path keeps its full last layer, while
+    the MLM path runs its last layer at the masked rows alone. A last layer
+    run at the CLS rows alone gives its linears one row per sequence, under
+    16 in a small minibatch, and such a gemm may round a row differently
+    from the same row in a 64-row chunk. With it, the cached logits missed
+    a live forward at desk batch 1 and at wide batches 8 and 2, where the
+    full layer matches.
     """
 
     def __init__(self, ckpt: Checkpoint, task: TaskDataset):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from sparsekit.data import MlmBatch, TaskBatch
 from sparsekit.model import (ConfigError, DataError, ModelConfig, build_model,
                              prunable_parameter_names)
 from sparsekit.optim import Adam
+from sparsekit.quant import QatContext
 
 
 def small_config(**kw):
@@ -77,6 +80,22 @@ def test_mlm_zero_masked_degenerate():
     assert fw.loss.degenerate
 
 
+@pytest.mark.parametrize("num_layers", [0, 1, 2])
+def test_mlm_logits_are_the_masked_rows_of_a_full_forward(num_layers):
+    """forward_mlm's logits are the full forward's logits at the masked
+    positions, in row-major order, for any depth: with no layer there is no
+    last layer to restrict, and the rows are taken from the embeddings."""
+    model = build_model(small_config(num_layers=num_layers), seed=4).astype(np.float64)
+    batch = mlm_batch(seed=5, n_masked=9)
+    rows = np.flatnonzero(batch.labels.reshape(-1) != -1)
+    full = T.linear(model.encode(batch.input_ids, batch.attention_mask),
+                    model.parameters["mlm_head.weight"], model.parameters["mlm_head.bias"])
+    want = full.values.reshape(-1, 100)[rows]
+    got = model.forward_mlm(batch).logits.values
+    assert got.shape == (9, 100)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_untrained_mlm_loss_near_log_vocab():
     cfg = small_config(vocab=100)
     model = build_model(cfg, seed=0)
@@ -139,3 +158,37 @@ def test_full_model_finite_diff():
     loss_fn = lambda: model.forward_mlm(batch).loss
     for name in ("layer.0.q.weight", "layer.0.ffn_in.weight", "embeddings.token"):
         assert finite_diff_check(loss_fn, model.parameters, name, eps=1e-4) < 1e-3
+
+
+# sha256 of forward_classify's logits and of every parameter gradient of its
+# loss, for a seeded 16 x 16 batch with padding, plain and fake-quantized.
+# Taken before the MLM path moved to the masked rows: the classify path,
+# which the task teacher's cache and QAT run, keeps its full last layer and
+# its bytes.
+CLASSIFY_BYTES = {
+    ("desk", False): "5d97d5076bba23182f270a9e2f1cf9bca87f6b648f542ec45e13d4dc0f322819",
+    ("desk", True): "237fb5f02257afce76a6d26a6fd993393748bcacd8f744d5ff582ffe79c59c43",
+    ("wide", False): "8484a9b8af073dbbfa760429df1e70af88e78e46400500abc29b70022e083ed8",
+    ("wide", True): "395fe6c4d4bdb3bc002afdddc1f6f3141c8a57a899e4a1700d3ff24ce469fac4",
+}
+
+
+@pytest.mark.parametrize("shape, quantized", list(CLASSIFY_BYTES),
+                         ids=[f"{s}-{'qat' if q else 'float'}" for s, q in CLASSIFY_BYTES])
+def test_classify_path_bytes_pinned(shape, quantized):
+    hidden, ffn = {"desk": (32, 64), "wide": (128, 512)}[shape]
+    cfg = ModelConfig(num_layers=2, hidden=hidden, heads=4, ffn_dim=ffn, vocab=64, max_seq=32,
+                      has_pooler=True, head_kind="classify", num_labels=3)
+    model = build_model(cfg, seed=41)
+    rng = np.random.Generator(np.random.PCG64(42))
+    ids = rng.integers(5, 64, size=(16, 16))
+    mask = (np.arange(16) < 16 - np.arange(16)[:, None] % 4).astype(np.int64)
+    batch = TaskBatch(ids, rng.integers(0, 3, size=16), mask)
+    quant = QatContext(prunable_parameter_names(cfg)) if quantized else None
+    fw = model.forward_classify(batch, quant=quant)
+    T.backward(fw.loss)
+    h = hashlib.sha256(fw.logits.values.tobytes())
+    for name, p in model.parameters.items():
+        h.update(name.encode())
+        h.update(p.grad.tobytes())
+    assert h.hexdigest() == CLASSIFY_BYTES[shape, quantized]

@@ -14,10 +14,10 @@ from sparsekit.checkpoint import (Q8, SPARSE, checkpoint_from_model,
 from sparsekit.config import default_config
 from sparsekit.data import (build_synthetic_corpus, make_mlm_batch, task_minibatch,
                             task_minibatch_indices)
-from sparsekit.distill import kd_loss
+from sparsekit.distill import combined_loss, kd_loss
 from sparsekit.model import ConfigError, build_model, prunable_parameter_names
-from sparsekit.pipeline import (METRICS_HEADER, _batch_seed, _make_task, _TaskTeacher,
-                                run_finetune_prune_baseline, run_qat, run_student_prune,
+from sparsekit.pipeline import (METRICS_HEADER, _batch_seed, _make_task, _mlm_kd_step,
+                                _TaskTeacher, run_finetune_prune_baseline, run_qat, run_student_prune,
                                 run_teacher_prep, run_transfer)
 from sparsekit.pruning import SparsitySchedule, target_sparsity
 
@@ -205,6 +205,135 @@ def test_no_grad_teacher_gets_no_gradient():
     assert student.parameters["layer.0.q.weight"].grad is not None
 
 
+# -- the MLM step at the masked rows against the full-sequence oracle --------
+
+def _row_weighted_kd_loss(student_logits, teacher_logits, temperature, row_weights):
+    """kd_loss as it was when forward_mlm returned every position's logits:
+    the mean over the rows that row_weights selects."""
+    zs, zt = student_logits.values, teacher_logits.values
+    w = row_weights.astype(zs.dtype)
+    count = w.sum()
+    if count == 0:
+        out = T._node(np.zeros((), dtype=zs.dtype), (student_logits,),
+                      lambda g: (np.zeros_like(zs),))
+        out.degenerate = True
+        return out
+    t = T._softmax(zt / temperature)
+    log_s = T._log_softmax(zs / temperature)
+    loss = (-(t * log_s).sum(axis=-1) * w).sum() / count
+    s = np.exp(log_s)
+    return T._node(np.asarray(loss, dtype=zs.dtype), (student_logits,),
+                   lambda g: (g * ((s - t) * (w / count)[:, None] / temperature),))
+
+
+def _full_sequence_step_loss(student, teacher, batch, distill):
+    """The MLM step loss with the last layer, the MLM head and both losses
+    over every position, as before they ran at the masked rows alone.
+    Returns the loss and the student's (batch * seq, vocab) logits."""
+    def logits(model):
+        hidden = model.encode(batch.input_ids, batch.attention_mask)
+        out = T.linear(hidden, model.parameters["mlm_head.weight"],
+                       model.parameters["mlm_head.bias"])
+        return T.reshape(out, (batch.labels.size, model.config.vocab))
+
+    z = logits(student)
+    l_pt = T.cross_entropy_with_targets(z, batch.labels.reshape(-1))
+    if teacher is None:
+        return l_pt, z
+    with T.no_grad():
+        zt = logits(teacher)
+    l_kd = _row_weighted_kd_loss(z, zt, distill.temperature, batch.labels.reshape(-1) != -1)
+    return combined_loss(l_pt, l_kd, distill), z
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows, classes", [(16, 3), (34, 64), (1, 5)])
+def test_kd_loss_bytes_equal_row_weighted_over_all_rows(rows, classes, dtype):
+    """Over all rows (the task stages' KD), kd_loss keeps the bytes the
+    row-weighted form gave with every weight 1, loss and gradient."""
+    rng = np.random.Generator(np.random.PCG64(43))
+    zs, zt = ((rng.standard_normal((rows, classes)) * 3).astype(dtype) for _ in range(2))
+    g = np.asarray(rng.standard_normal(), dtype=dtype)
+    got = kd_loss(T.Tensor(zs), T.Tensor(zt), 2.0)
+    want = _row_weighted_kd_loss(T.Tensor(zs), T.Tensor(zt), 2.0, np.ones(rows, dtype=bool))
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got._backward(g)[0].tobytes() == want._backward(g)[0].tobytes()
+
+
+MLM_SHAPES = {"desk": {}, "wide": {"hidden": 128, "ffn_dim": 512, "heads": 4}}
+
+
+def _float64_mlm_case(shape, n_masked):
+    """Float64 student and teacher at a default prune config's shape, and a
+    batch of its size; with n_masked, only the first n_masked masked
+    positions keep their labels."""
+    cfg = default_config("student-prune", seed=1)
+    model_cfg = replace(cfg.model, head_kind="mlm", **MLM_SHAPES[shape])
+    student = build_model(model_cfg, seed=31).astype(np.float64)
+    teacher = build_model(model_cfg, seed=32).astype(np.float64)
+    corpus = build_synthetic_corpus(1, 64, vocab_size=model_cfg.vocab)
+    batch = make_mlm_batch(corpus, 5, cfg.batch_size, cfg.seq_len)
+    if n_masked is not None:
+        flat = batch.labels.reshape(-1)
+        flat[np.flatnonzero(flat != -1)[n_masked:]] = -1
+    return student, teacher, batch, cfg.distill
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_masked", [None, 1, 0], ids=["batch", "one-masked", "none-masked"])
+@pytest.mark.parametrize("kd", [True, False], ids=["kd", "no-kd"])
+@pytest.mark.parametrize("shape", list(MLM_SHAPES))
+def test_masked_rows_step_agrees_with_full_sequence_oracle(shape, kd, n_masked):
+    """In float64 the MLM step loss, the student's logits and every parameter
+    gradient are within 1e-12 of the largest magnitude of the full-sequence
+    computation, also for a batch with one masked position or none."""
+    student, teacher, batch, distill = _float64_mlm_case(shape, n_masked)
+    teacher = teacher if kd else None
+    rows = np.flatnonzero(batch.labels.reshape(-1) != -1)
+    results = []
+    for step in (lambda: _mlm_kd_step(student, teacher, batch, distill)[0],
+                 lambda: _full_sequence_step_loss(student, teacher, batch, distill)[0]):
+        for p in student.parameters.values():
+            p.zero_grad()
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            loss = step()
+            T.backward(loss)
+        results.append((float(loss.values), {n: p.grad for n, p in student.parameters.items()}))
+    (got_loss, got), (want_loss, want) = results
+    assert abs(got_loss - want_loss) <= 1e-12 * abs(want_loss)
+    # A key bias shifts every score of a softmax row alike, so its exact
+    # gradient is 0 and both sides hold rounding noise; it is held to the
+    # largest gradient magnitude of all parameters instead of its own.
+    largest = max(np.abs(g).max() for g in want.values() if g is not None)
+    for name in want:
+        if want[name] is None:
+            assert got[name] is None, name
+            continue
+        scale = largest if name.endswith(".k.bias") else np.abs(want[name]).max()
+        assert got[name].shape == want[name].shape, name
+        assert np.abs(got[name] - want[name]).max() <= 1e-12 * scale, name
+    logits = student.forward_mlm(batch).logits.values
+    full = _full_sequence_step_loss(student, None, batch, distill)[1].values[rows]
+    assert logits.shape == (rows.size, student.config.vocab)
+    assert np.abs(logits - full).max(initial=0.0) <= 1e-12 * np.abs(full).max(initial=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_mlm_step_without_masked_positions_is_degenerate():
+    student, teacher, batch, distill = _float64_mlm_case("desk", 0)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        fw = student.forward_mlm(batch)
+        with T.no_grad():
+            t_logits = teacher.forward_mlm(batch).logits
+        l_kd = kd_loss(fw.logits, t_logits, distill.temperature)
+        loss, l_pt, l_kd_value = _mlm_kd_step(student, teacher, batch, distill)
+        T.backward(loss)
+    assert fw.logits.shape == (0, student.config.vocab)
+    assert fw.loss.degenerate and l_kd.degenerate
+    assert (l_pt, l_kd_value, float(loss.values)) == (0.0, 0.0, 0.0)
+    assert all(p.grad is None or not p.grad.any() for p in student.parameters.values())
+
+
 def _assert_cached_teacher_matches_forward(cfg, teacher_ckpt):
     """At every step of the schedule, the cached teacher's logits equal a
     full teacher forward on the step's minibatch, byte for byte."""
@@ -234,18 +363,27 @@ def test_cached_teacher_logits_match_forward_other_shape():
     _assert_cached_teacher_matches_forward(cfg, teacher)
 
 
+def test_cached_teacher_logits_match_forward_wide():
+    # prune-wide's encoder shape, at the default batch of 16
+    base = default_config("transfer", seed=6)
+    model_cfg = replace(base.model, hidden=128, heads=4, ffn_dim=512)
+    cfg = replace(base, model=model_cfg)
+    teacher = checkpoint_from_model(build_model(model_cfg, seed=12), "transfer")
+    _assert_cached_teacher_matches_forward(cfg, teacher)
+
+
 # sha256 of serialize(ckpt) and of the metrics CSV for each stage of a short
 # seeded chain: student-prune (KD, interval 2), KD transfer, then qat. Taken
-# when `linear` moved to one 2-D gemm per product over the batch x seq rows;
-# every speed-up of the training path that claims the same arithmetic must
-# keep these bytes.
+# when the MLM path moved its last encoder layer, head and losses to the
+# masked positions; every speed-up of the training path that claims the
+# same arithmetic must keep these bytes.
 GOLDEN_CHAIN = {
-    "student-prune": ("b390f2f237c8cf7893b17b62ffd3de5baa9d5a9f8de27ec13a2ad1f3b44580e1",
-                      "d0844f4fe7fbca02e9b1218e04e530c773ef0d58e76545143b6345cead868eab"),
-    "transfer": ("50d2ef39e0bf7c763526e45ed11daeb1eb638c09e30afbc4cc040ba008bc1c29",
-                 "e6e8f3addefb759c21f07c4db40edb545b808753f884501592878af6f16ef99f"),
-    "qat": ("6824fa232c9315e7d4cd5979d395dcccff00abe8cd21410c67444735a0d01371",
-            "acd466a9e7d5518c8f69e7a4f95722ea26072db88de33f811b0343cb0deab6d7"),
+    "student-prune": ("4a01851a3adb9e0c71f99ced535f9ac2e1ff8b171c5f981b928c976a1c28c161",
+                      "97a8586bf0ec65673b1228ee4085831e7c8bdd860c4b4119fb8e4b13e7bce559"),
+    "transfer": ("20b69040f93ff7827fe6797dc529eae4e9c1c98e57e8f624cfa6a60377b19996",
+                 "6d646fa261fd082eb66dcdfe39f10f6a420da60f5e887338c1935f5dedcfc1cb"),
+    "qat": ("055061683f23d7d7228ef9093cd8cb540f1983f8168764b603061bedb7de4e01",
+            "0847566f6b883b51b3c0083e4be8379107366756097a1ec8d809c2c0a14eadc3"),
 }
 
 

@@ -274,6 +274,8 @@ def test_fused_primitive_shape_errors():
         T.add_layer_norm(a, Tensor(np.zeros((2, 3, 5))), Tensor(np.ones(4)), Tensor(np.zeros(4)))
     with pytest.raises(ShapeError, match="attention"):
         T.attention(a, a, a, np.zeros((2, 1, 1, 3)), 3)
+    with pytest.raises(ShapeError, match="attention"):  # queries of another batch
+        T.attention(Tensor(np.zeros((3, 1, 4))), a, a, np.zeros((2, 1, 1, 3)), 2)
 
 
 # -- in-place kernels against the formulas they were written from -----------
@@ -342,6 +344,47 @@ def test_add_layer_norm_bit_equal_to_formula(dtype):
     want_out, want_grads = _ref_add_layer_norm(x, y, gain, bias, g)
     assert out.values.dtype == dtype and out.values.tobytes() == want_out.tobytes()
     assert _kernel_grads(out, g) == [w.tobytes() for w in want_grads]
+
+
+@pytest.mark.parametrize("shape", [(16, 16, 32), (16, 16, 128), (34, 1, 32), (34, 1, 128)],
+                         ids=["desk", "wide", "desk-rows", "wide-rows"])
+def test_add_layer_norm_gain_bias_grads_bit_equal_to_unbroadcast(shape):
+    """The gain and bias gradients, one sum over the (rows, hidden) view, have
+    the bytes of `_unbroadcast`'s sum over the leading axes, at the encoder's
+    shapes and at the (rows, 1, hidden) shape of its last layer on the
+    masked rows."""
+    rng = np.random.Generator(np.random.PCG64(38))
+    # finite values: a NaN in a row would make every column's sum NaN
+    x, y, g = (rng.standard_normal(shape).astype(np.float32) for _ in range(3))
+    gain, bias = (rng.standard_normal(shape[-1]).astype(np.float32) for _ in range(2))
+    out = T.add_layer_norm(*(Tensor(a, requires_grad=True) for a in (x, y, gain, bias)))
+    d = x + y
+    d -= T._mean_last(d)
+    xhat = d * (1.0 / np.sqrt(T._mean_last(np.square(d)) + 1e-5))
+    want = [T._unbroadcast(g * xhat, gain.shape), T._unbroadcast(g, bias.shape)]
+    assert _kernel_grads(out, g)[2:] == [w.tobytes() for w in want]
+
+
+@quiet
+@pytest.mark.parametrize("table_shape, ids_shape",
+                         [((64, 128), (16, 16)), ((64, 32), (16, 16)), ((16, 16, 128), (34,)),
+                          ((256, 128), (34, 1))],
+                         ids=["token-wide", "token-desk", "per-row-keys", "masked-rows"])
+def test_embedding_lookup_grad_bit_equal_to_row_scatter(table_shape, ids_shape):
+    """The flat scatter-add of the backward has the bytes of np.add.at over
+    the table's leading axis, with repeated ids, at the token table's shapes
+    and at the encoder's gathers of the masked rows and of their samples'
+    keys."""
+    rng = np.random.Generator(np.random.PCG64(39))
+    ids = rng.integers(0, table_shape[0], size=ids_shape)
+    ids.reshape(-1)[:3] = ids.reshape(-1)[3]  # one id four times
+    g = _with_specials(rng, ids_shape + table_shape[1:], np.float32)
+    table = rng.standard_normal(table_shape).astype(np.float32)
+    out = T.embedding_lookup(Tensor(table, requires_grad=True), ids)
+    assert out.values.tobytes() == table[ids].tobytes()
+    want = np.zeros(table_shape, dtype=np.float32)
+    np.add.at(want, ids, g)
+    assert _kernel_grads(out, g) == [want.tobytes()]
 
 
 @quiet
@@ -472,6 +515,43 @@ def test_attention_bit_equal_to_formula(dims):
     want_out, want_grads = _ref_attention(q, k, v, mask_bias, heads, g)
     assert np.isnan(want_out).any() and out.values.tobytes() == want_out.tobytes()
     assert _kernel_grads(out, g) == [w.tobytes() for w in want_grads]
+
+
+def _ref_attention_per_sample(q, k, v, mask_bias, heads, g):
+    """Forward and backward of attention, one sample and head at a time."""
+    out, gq, gk, gv = np.zeros_like(q), np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+    d = q.shape[2] // heads
+    for b in range(q.shape[0]):
+        for h in range(heads):
+            c = slice(h * d, (h + 1) * d)
+            qb, kb, vb, gb = q[b, :, c], k[b, :, c], v[b, :, c], g[b, :, c]
+            z = qb @ kb.T / math.sqrt(d) + mask_bias[b, 0]
+            p = np.exp(z - z.max(axis=1, keepdims=True))
+            p /= p.sum(axis=1, keepdims=True)
+            out[b, :, c] = p @ vb
+            gp = gb @ vb.T
+            gz = p * (gp - (gp * p).sum(axis=1, keepdims=True)) / math.sqrt(d)
+            gq[b, :, c], gk[b, :, c], gv[b, :, c] = gz @ kb, gz.T @ qb, p.T @ gb
+    return out, [gq, gk, gv]
+
+
+@pytest.mark.parametrize("batch, queries, keys, hidden, heads",
+                         [(3, 2, 5, 8, 2), (2, 7, 3, 6, 3), (34, 1, 16, 32, 4), (34, 1, 16, 128, 4)],
+                         ids=["fewer-queries", "more-queries", "desk-rows", "wide-rows"])
+def test_attention_own_query_length_agrees_with_per_sample_reference(batch, queries, keys,
+                                                                     hidden, heads):
+    """With q (batch, queries, hidden) against k, v (batch, keys, hidden),
+    the output and all three gradients are within 1e-12 of the largest
+    magnitude of a per-sample, per-head float64 reference."""
+    rng = np.random.Generator(np.random.PCG64(40))
+    q, g = (rng.standard_normal((batch, queries, hidden)) for _ in range(2))
+    k, v = (rng.standard_normal((batch, keys, hidden)) for _ in range(2))
+    mask_bias = _padded_mask_bias(batch, keys, np.float64)
+    out = T.attention(Tensor(q), Tensor(k), Tensor(v), mask_bias, heads)
+    want_out, want_grads = _ref_attention_per_sample(q, k, v, mask_bias, heads, g)
+    for got, want in zip([out.values, *out._backward(g)], [want_out, *want_grads]):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_seeded_init_zeros_and_ones():

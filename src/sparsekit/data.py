@@ -168,12 +168,12 @@ def make_task_dataset(seed: int, num_examples: int, num_labels: int,
 
 
 def task_minibatch_indices(dataset: TaskDataset, seed: int, batch: int) -> np.ndarray:
-    """Train-split rows that `task_minibatch` draws for this seed, in order."""
+    """The train-split rows of one minibatch, drawn with replacement for this seed."""
     rng = _rng("task-batch", seed)
     return rng.integers(0, dataset.train.input_ids.shape[0], size=batch)
 
 
-def task_minibatch(dataset: TaskDataset, seed: int, batch: int) -> TaskBatch:
-    idx = task_minibatch_indices(dataset, seed, batch)
+def task_minibatch(dataset: TaskDataset, rows: np.ndarray) -> TaskBatch:
+    """The train-split examples at `rows`, in that order."""
     t = dataset.train
-    return TaskBatch(t.input_ids[idx], t.labels[idx], t.attention_mask[idx])
+    return TaskBatch(t.input_ids[rows], t.labels[rows], t.attention_mask[rows])

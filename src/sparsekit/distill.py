@@ -21,19 +21,6 @@ class DistillConfig:
             raise ContractError("loss weights must be non-negative and not both zero")
 
 
-def soft_probs(logits: Tensor, temperature: float) -> Tensor:
-    """softmax(logits / T) along the class axis; differentiable in logits."""
-    if temperature <= 0:
-        raise ContractError("temperature must be positive")
-    s = _softmax(logits.values / temperature)
-
-    def back(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - dot) / temperature,)
-
-    return _node(s, (logits,), back)
-
-
 def kd_loss(student_logits: Tensor, teacher_logits: Tensor, temperature: float) -> Tensor:
     """Soft cross-entropy between temperature-softened distributions, the
     mean over rows. With no rows the loss is 0 and flagged degenerate. The

@@ -13,9 +13,9 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import Checkpoint, checkpoint_from_model, model_from_checkpoint
 from .config import StageConfig
-from .data import (MlmBatch, TaskDataset, build_synthetic_corpus, make_mlm_batch,
-                   make_task_dataset, task_minibatch, task_minibatch_indices)
-from .distill import combined_loss, kd_loss
+from .data import (TaskDataset, build_synthetic_corpus, make_mlm_batch, make_task_dataset,
+                   task_minibatch, task_minibatch_indices)
+from .distill import DistillConfig, combined_loss, kd_loss
 from .model import (ConfigError, EncoderModel, ForwardResult, ModelConfig, build_model,
                     prunable_parameter_names)
 from .optim import Adam
@@ -28,11 +28,6 @@ METRICS_HEADER = "step,lr,target_sparsity,actual_sparsity,loss_pt,loss_kd,loss_t
 # Train-split rows per teacher encode when a task teacher's cache is built;
 # bounds the size of one forward's activations.
 TEACHER_CHUNK_ROWS = 64
-
-# One step's (loss, l_pt, l_kd): the loss to backpropagate and the two terms logged.
-# The builtin generic, unlike typing.Tuple, is not cached by typing, so a
-# re-imported sparsekit does not keep the replaced copy's modules alive.
-StepLoss = tuple[T.Tensor, float, float]
 
 
 @dataclass
@@ -71,20 +66,6 @@ def _check_same_encoder(a, b):
             raise ConfigError(f"model config mismatch on {f.name}: {x} vs {y}")
 
 
-def _mlm_kd_step(student: EncoderModel, teacher: Optional[EncoderModel],
-                 batch: MlmBatch, distill) -> StepLoss:
-    """Combined loss on masked positions; returns (loss, l_pt, l_kd). Both
-    forwards give logits at the masked positions alone, in the same order."""
-    fw = student.forward_mlm(batch)
-    if teacher is None:
-        return fw.loss, float(fw.loss.values), 0.0
-    with T.no_grad():
-        t_logits = teacher.forward_mlm(batch).logits
-    l_kd = kd_loss(fw.logits, t_logits, distill.temperature)
-    loss = combined_loss(fw.loss, l_kd, distill)
-    return loss, float(fw.loss.values), float(l_kd.values)
-
-
 class _TaskTeacher:
     """The frozen task teacher of one stage, with its CLS states cached.
 
@@ -99,7 +80,10 @@ class _TaskTeacher:
     row of such a gemm has the same bytes whatever rows surround it, once
     there are 16 or more. Attention runs one gemm per sample and head, and
     every layer norm and softmax reduces along the last axis. So a row
-    encodes to the same bytes in a chunk as in its minibatch. The pooler
+    encodes to the same bytes in a chunk as in its minibatch, provided the
+    minibatch has at least 16 token rows (batch_size x seq_len). Below
+    that the cache may differ from a live forward: at hidden 128 and ffn
+    512, batch 1 x seq 8 does, batch 1 x seq 16 does not. The pooler
     and head are 2-D gemms over the minibatch's CLS rows alone, few and
     narrow, whose rounding depends on a row's position in the tile; cached
     logits would not match a per-step forward byte for byte.
@@ -132,18 +116,6 @@ class _TaskTeacher:
             return self.model.classify_logits(T.Tensor(self.cls[rows]))
 
 
-def _task_kd_step(fw: ForwardResult, teacher: Optional[_TaskTeacher], task: TaskDataset,
-                  batch_seed: int, cfg: StageConfig) -> StepLoss:
-    """Step loss of a task stage; returns (loss, l_pt, l_kd). With a teacher
-    the loss is the soft teacher loss alone, over the rows that
-    task_minibatch drew for `batch_seed`."""
-    if teacher is None:
-        return fw.loss, float(fw.loss.values), 0.0
-    t_logits = teacher.logits(task_minibatch_indices(task, batch_seed, cfg.batch_size))
-    loss = kd_loss(fw.logits, t_logits, cfg.distill.temperature)
-    return loss, float(fw.loss.values), float(loss.values)
-
-
 # -- the training loop -----------------------------------------------------
 
 def _expect_stage(cfg: StageConfig, stage: str) -> None:
@@ -151,9 +123,24 @@ def _expect_stage(cfg: StageConfig, stage: str) -> None:
         raise ConfigError(f"expected {stage} config, got {cfg.stage}")
 
 
-def _train(cfg: StageConfig, model: EncoderModel, step_loss: Callable[[int], StepLoss],
+def _step_loss(fw: ForwardResult, t_logits: Optional[T.Tensor],
+               distill: DistillConfig) -> tuple[T.Tensor, float, float]:
+    """A step's loss and its logged terms (l_pt, l_kd). With the teacher's
+    logits at the student's rows, the loss is the `distill`-weighted sum of
+    the hard loss and the temperature-softened teacher loss; without, the
+    hard loss alone."""
+    if t_logits is None:
+        return fw.loss, float(fw.loss.values), 0.0
+    l_kd = kd_loss(fw.logits, t_logits, distill.temperature)
+    return combined_loss(fw.loss, l_kd, distill), float(fw.loss.values), float(l_kd.values)
+
+
+def _train(cfg: StageConfig, model: EncoderModel,
+           forward: Callable[[int], tuple[ForwardResult, Optional[T.Tensor]]],
            masks: Optional[Dict[str, np.ndarray]] = None) -> RunMetrics:
-    """The step loop of every stage: one Adam step per `step_loss(t)`.
+    """The step loop of every stage: one Adam step on the loss of
+    `forward(t)`, which gives the student's forward on step t's batch and
+    the teacher's logits at the same rows (None without distillation).
 
     A stage prunes exactly when its config has a pruning section: gradual
     magnitude pruning on that schedule, under the rewound learning rate.
@@ -169,7 +156,7 @@ def _train(cfg: StageConfig, model: EncoderModel, step_loss: Callable[[int], Ste
         if sp is not None and sp.start_step <= t <= sp.end_step \
                 and ((t - sp.start_step) % sp.interval == 0 or t == sp.end_step):
             masks = prune_step(model, masks, target_sparsity(sp, t))
-        loss, l_pt, l_kd = step_loss(t)
+        loss, l_pt, l_kd = _step_loss(*forward(t), cfg.distill)
         opt.zero_grad()
         T.backward(loss)
         # pattern frozen after the last mask recomputation; regrowth before it
@@ -188,10 +175,13 @@ def _train_mlm(cfg: StageConfig, model: EncoderModel,
     corpus = build_synthetic_corpus(cfg.data.corpus_seed, cfg.data.num_sequences,
                                     vocab_size=cfg.model.vocab, seq_len=max(cfg.seq_len, 8))
 
-    def step_loss(t: int) -> StepLoss:
+    def forward(t: int):
+        # both forwards give logits at the masked positions alone, in the same order
         batch = make_mlm_batch(corpus, _batch_seed(cfg.seed, t), cfg.batch_size, cfg.seq_len)
-        return _mlm_kd_step(model, teacher, batch, cfg.distill)
-    metrics = _train(cfg, model, step_loss)
+        fw = model.forward_mlm(batch)
+        with T.no_grad():
+            return fw, None if teacher is None else teacher.forward_mlm(batch).logits
+    metrics = _train(cfg, model, forward)
     metrics.summary = ({"final_train_loss": metrics.rows[-1][-1]} if cfg.pruning is None
                        else {"final_sparsity": sparsity_report(model).aggregate})
     val = make_mlm_batch(corpus, seed=_batch_seed(cfg.data.corpus_seed, 999_999),
@@ -220,12 +210,11 @@ def _train_task(cfg: StageConfig, start_ckpt: Checkpoint, teacher_ckpt: Optional
     masks = lock_pattern(model) if cfg.pruning is None else None
     teacher = _TaskTeacher(teacher_ckpt, task) if cfg.kd_enabled else None
 
-    def step_loss(t: int) -> StepLoss:
-        batch_seed = _batch_seed(cfg.seed, t)
-        batch = task_minibatch(task, batch_seed, cfg.batch_size)
-        fw = model.forward_classify(batch, quant=quant)
-        return _task_kd_step(fw, teacher, task, batch_seed, cfg)
-    metrics = _train(cfg, model, step_loss, masks)
+    def forward(t: int):
+        rows = task_minibatch_indices(task, _batch_seed(cfg.seed, t), cfg.batch_size)
+        fw = model.forward_classify(task_minibatch(task, rows), quant=quant)
+        return fw, None if teacher is None else teacher.logits(rows)
+    metrics = _train(cfg, model, forward, masks)
     q8_names, qat_summary = (), {}
     if quant is not None:
         q8_names = quant.weight_names
@@ -259,8 +248,9 @@ def run_transfer(cfg: StageConfig, start_ckpt: Checkpoint,
                  teacher_ckpt: Optional[Checkpoint] = None) -> Tuple[Checkpoint, RunMetrics]:
     """Task fine-tuning with the sparsity pattern locked.
 
-    With distillation on, the objective is the soft teacher loss alone and
-    a dense task teacher checkpoint is required.
+    With distillation on, a dense task teacher checkpoint is required. The
+    `[distill]` weights mix the hard and soft losses as in pruning; the
+    defaults (0, 1) train on the soft teacher loss alone.
     """
     _expect_stage(cfg, "transfer")
     return _train_task(cfg, start_ckpt, teacher_ckpt)

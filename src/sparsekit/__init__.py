@@ -8,6 +8,6 @@ from .pruning import (SparsitySchedule, lock_pattern, prune_step, sparsity_repor
                       target_sparsity)
 from .quant import QuantParams, activation_qparams, fake_quant, weight_qparams
 from .schedule import LrSchedule, RewindWindow, lr_base, lr_rewound
-from .tensor import Tensor, backward, seeded_init
+from .tensor import SparsekitError, Tensor, backward, seeded_init
 
 __version__ = "0.1.0"

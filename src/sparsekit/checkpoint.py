@@ -26,13 +26,14 @@ import numpy as np
 
 from .model import EncoderModel, ModelConfig, build_model, parameter_specs
 from .quant import dequantize, quantize_ints, weight_grid, weight_qparams
+from .tensor import SparsekitError
 
 MAGIC = b"POFA"
 VERSION = 1
 DENSE_F32, SPARSE, Q8 = 0, 1, 2
 
 
-class FormatError(ValueError):
+class FormatError(SparsekitError):
     pass
 
 

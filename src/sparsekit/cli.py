@@ -5,13 +5,13 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .checkpoint import FormatError, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_config
-from .model import ConfigError, DataError
+from .model import ConfigError
 from .pipeline import (run_finetune_prune_baseline, run_qat, run_student_prune,
                        run_teacher_prep, run_transfer)
 from .report import compression_report, payload_size_ratio, schedule_export
-from .tensor import ContractError
+from .tensor import SparsekitError
 
 
 # command -> (stage runner, help, flag naming the start checkpoint, its help).
@@ -62,33 +62,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_cfg(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
-
-
-def _finish(args, ckpt, metrics):
-    save_checkpoint(ckpt, args.out)
-    if args.metrics:
-        metrics.to_csv(args.metrics)
-    for key, value in sorted(metrics.summary.items()):
-        if not isinstance(value, dict):
-            print(f"{key}: {value}")
-    print(f"wrote {args.out}")
-
-
 def _dispatch(args) -> int:
     if args.command in TRAINING_COMMANDS:
         runner, _, start, _ = TRAINING_COMMANDS[args.command]
-        cfg = _load_cfg(args)
+        cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
         inputs = [] if start is None else [load_checkpoint(getattr(args, start))]
         kwargs = {}
         if start == "ckpt":
             kwargs["teacher_ckpt"] = load_checkpoint(args.teacher) if args.teacher else None
         ckpt, metrics = runner(cfg, *inputs, **kwargs)
-        _finish(args, ckpt, metrics)
+        save_checkpoint(ckpt, args.out)
+        if args.metrics:
+            metrics.to_csv(args.metrics)
+        for key, value in sorted(metrics.summary.items()):
+            if not isinstance(value, dict):
+                print(f"{key}: {value}")
+        print(f"wrote {args.out}")
     elif args.command == "report":
         ckpt = load_checkpoint(args.ckpt)
         print(compression_report(ckpt).as_text())
@@ -112,7 +103,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 2
     try:
         return _dispatch(args)
-    except (ConfigError, ContractError, DataError, FormatError, FileNotFoundError, OSError) as exc:
+    except (SparsekitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

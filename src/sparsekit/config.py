@@ -6,6 +6,7 @@ Unknown sections or keys are errors.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, asdict, replace
 from typing import Optional
 
@@ -52,14 +53,14 @@ class StageConfig:
             raise ConfigError(f"{self.stage} takes no pruning section")
         if self.seq_len > self.model.max_seq:
             raise ConfigError("seq_len exceeds model max_seq")
-        if self.seq_len < 2:
-            raise ConfigError(f"seq_len must be >= 2, got {self.seq_len}")
-        if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.log_every < 1:
-            raise ConfigError(f"log_every must be >= 1, got {self.log_every}")
+        for name, low in (("seq_len", 2), ("steps", 1), ("batch_size", 1), ("log_every", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        # written so that NaN fails both checks
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         # the mask freezes at end_step, so a window that outlasts training never freezes
         if self.pruning is not None and self.pruning.end_step >= self.steps:
             raise ConfigError(f"pruning end_step {self.pruning.end_step} must be below "

@@ -6,11 +6,10 @@ from typing import List
 
 import numpy as np
 
-from .tensor import ContractError
+from .tensor import IGNORE_INDEX, ContractError
 
 PAD, MASK, UNK, CLS, SEP = 0, 1, 2, 3, 4
 NUM_RESERVED = 5
-IGNORE_LABEL = -1
 
 
 def _regular_ids(vocab_size: int) -> np.ndarray:
@@ -89,7 +88,7 @@ def make_mlm_batch(corpus: Corpus, seed: int, batch: int, seq_len: int,
     rng = _rng("mlm", seed)
     regular = _regular_ids(corpus.vocab_size)
     input_ids = np.full((batch, seq_len), PAD, dtype=np.int64)
-    labels = np.full((batch, seq_len), IGNORE_LABEL, dtype=np.int64)
+    labels = np.full((batch, seq_len), IGNORE_INDEX, dtype=np.int64)
     attention = np.zeros((batch, seq_len), dtype=np.int64)
     for i in range(batch):
         seq = pool[int(rng.integers(0, len(pool)))]
@@ -137,6 +136,8 @@ def make_task_dataset(seed: int, num_examples: int, num_labels: int,
     if num_labels < 2:
         raise ContractError("need at least two labels")
     regular = _regular_ids(vocab_size)
+    if num_labels > regular.size:
+        raise ContractError(f"num_labels = {num_labels} exceeds the {regular.size} regular tokens")
     n_train = _split_point("num_examples", num_examples)
     if seq_len < 2:
         raise ContractError(f"seq_len must be >= 2, got {seq_len}")

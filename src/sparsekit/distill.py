@@ -1,10 +1,12 @@
 """Temperature-softened distillation loss and loss mixing."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor as T
 from .tensor import ContractError, ShapeError, Tensor, _log_softmax, _node, _softmax
 
 
@@ -15,10 +17,13 @@ class DistillConfig:
     lambda_kd: float = 0.5
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ContractError("temperature must be positive")
-        if self.lambda_pt < 0 or self.lambda_kd < 0 or self.lambda_pt + self.lambda_kd == 0:
-            raise ContractError("loss weights must be non-negative and not both zero")
+        # written so that NaN fails every check
+        if not 0 < self.temperature < math.inf:
+            raise ContractError(f"temperature must be positive and finite, got {self.temperature}")
+        if not (0 <= self.lambda_pt < math.inf and 0 <= self.lambda_kd < math.inf) \
+                or self.lambda_pt + self.lambda_kd == 0:
+            raise ContractError(f"loss weights must be finite, non-negative and not both zero, "
+                                f"got {self.lambda_pt} and {self.lambda_kd}")
 
 
 def kd_loss(student_logits: Tensor, teacher_logits: Tensor, temperature: float) -> Tensor:
@@ -26,8 +31,8 @@ def kd_loss(student_logits: Tensor, teacher_logits: Tensor, temperature: float) 
     mean over rows. With no rows the loss is 0 and flagged degenerate. The
     teacher side is a constant: no gradient flows to it.
     """
-    if temperature <= 0:
-        raise ContractError("temperature must be positive")
+    if not temperature > 0:
+        raise ContractError(f"temperature must be positive, got {temperature}")
     if student_logits.shape != teacher_logits.shape:
         raise ShapeError(
             f"kd_loss: student {student_logits.shape} vs teacher {teacher_logits.shape}")
@@ -54,6 +59,9 @@ def kd_loss(student_logits: Tensor, teacher_logits: Tensor, temperature: float) 
 
 
 def combined_loss(l_pt: Tensor, l_kd: Tensor, cfg: DistillConfig) -> Tensor:
-    from .tensor import add, scale
-
-    return add(scale(l_pt, cfg.lambda_pt), scale(l_kd, cfg.lambda_kd))
+    """lambda_pt * l_pt + lambda_kd * l_kd. A term of weight 0 is left off the
+    tape, and its backward never runs, unless its value is non-finite: for
+    finite x, 0 x + y == y, with the same bytes for the sum and its gradient."""
+    terms = [T.scale(loss, w) for loss, w in ((l_pt, cfg.lambda_pt), (l_kd, cfg.lambda_kd))
+             if w != 0 or not np.isfinite(loss.values)]
+    return terms[0] if len(terms) == 1 else T.add(*terms)

@@ -9,19 +9,20 @@ Parameter names are a stable public contract:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
+from .tensor import SparsekitError, Tensor
 
 
-class ConfigError(ValueError):
+class ConfigError(SparsekitError):
     pass
 
 
-class DataError(ValueError):
+class DataError(SparsekitError):
     pass
 
 
@@ -38,12 +39,12 @@ class ModelConfig:
     num_labels: int = 2
 
     def __post_init__(self):
+        for name, low in (("num_layers", 0), ("hidden", 1), ("heads", 1), ("ffn_dim", 1),
+                          ("vocab", 8), ("max_seq", 4)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.hidden % self.heads != 0:
             raise ConfigError(f"hidden {self.hidden} not divisible by heads {self.heads}")
-        if self.vocab < 8:
-            raise ConfigError("vocab must be >= 8")
-        if self.max_seq < 4:
-            raise ConfigError("max_seq must be >= 4")
         if self.head_kind not in ("mlm", "classify"):
             raise ConfigError(f"unknown head kind {self.head_kind!r}")
 
@@ -92,8 +93,16 @@ def prunable_parameter_names(config: ModelConfig) -> List[str]:
 
 @dataclass
 class ForwardResult:
+    """The logits at the rows a forward scores, and those rows' targets.
+    `loss`, their mean cross-entropy, is built on first read, under the
+    `no_grad` state of that read, and cached: a caller that reads only the
+    logits builds none."""
     logits: Tensor
-    loss: Tensor
+    targets: np.ndarray
+
+    @cached_property
+    def loss(self) -> Tensor:
+        return T.cross_entropy_with_targets(self.logits, self.targets)
 
 
 class EncoderModel:
@@ -103,10 +112,6 @@ class EncoderModel:
 
     def prunable_parameters(self) -> List[str]:
         return prunable_parameter_names(self.config)
-
-    def astype(self, dtype) -> "EncoderModel":
-        params = {n: Tensor(p.values.astype(dtype), requires_grad=True) for n, p in self.parameters.items()}
-        return EncoderModel(self.config, params)
 
     # -- forward ----------------------------------------------------------
 
@@ -172,8 +177,8 @@ class EncoderModel:
         return T.reshape(x, (rows.size, cfg.hidden))
 
     def forward_mlm(self, batch) -> ForwardResult:
-        """MLM logits and loss at the masked positions (labels other than
-        the ignore marker) alone. The logits are (n_masked, vocab), in
+        """MLM logits and targets at the masked positions (labels other
+        than IGNORE_INDEX) alone. The logits are (n_masked, vocab), in
         row-major order of the masked positions; the loss is their mean
         cross-entropy, 0 and flagged degenerate when nothing is masked."""
         if self.config.head_kind != "mlm":
@@ -183,7 +188,7 @@ class EncoderModel:
         hidden = self.encode(batch.input_ids, batch.attention_mask, rows=rows)
         logits = T.linear(hidden, self.parameters["mlm_head.weight"],
                           self.parameters["mlm_head.bias"])
-        return ForwardResult(logits, T.cross_entropy_with_targets(logits, labels[rows]))
+        return ForwardResult(logits, labels[rows])
 
     def classify_logits(self, cls: Tensor, quant=None) -> Tensor:
         """Pooler (when present) and classification head over CLS states
@@ -197,9 +202,8 @@ class EncoderModel:
 
     def forward_classify(self, batch, quant=None) -> ForwardResult:
         hidden = self.encode(batch.input_ids, batch.attention_mask, quant)
-        logits = self.classify_logits(T.take_rows(hidden, 0, axis=1), quant)
-        loss = T.cross_entropy_with_targets(logits, batch.labels)
-        return ForwardResult(logits, loss)
+        return ForwardResult(self.classify_logits(T.take_rows(hidden, 0), quant),
+                             batch.labels)
 
 
 def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> EncoderModel:
@@ -208,5 +212,4 @@ def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> EncoderMode
     for idx, (name, shape, scheme) in enumerate(parameter_specs(config)):
         sub = int(np.random.SeedSequence((seed, idx)).generate_state(1)[0])
         params[name] = T.seeded_init(shape, scheme, sub, dtype=dtype)
-        params[name].name = name
     return EncoderModel(config, params)

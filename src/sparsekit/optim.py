@@ -15,6 +15,8 @@ from .tensor import ContractError, Tensor
 # the parameters.
 RUN_SIZE = 1 << 15
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
     """Decoupled weight decay hits only 2-D weight matrices; masked
@@ -28,16 +30,13 @@ class Adam:
     each name to its slice, shaped like the parameter. The parameters keep
     their own arrays, which are updated in place.
 
-    The learning rate and the hyperparameters are used as Python floats,
+    The learning rate, the weight decay and BETA1, BETA2 and EPS are Python floats,
     which numpy applies in the dtype of the array operand, so each step of
     the arithmetic can write into the temporary it replaces."""
 
-    def __init__(self, parameters: Dict[str, Tensor], weight_decay: float = 0.0,
-                 betas=(0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, parameters: Dict[str, Tensor], weight_decay: float = 0.0):
         self.parameters = parameters
         self.weight_decay = float(weight_decay)
-        self.beta1, self.beta2 = map(float, betas)
-        self.eps = float(eps)
         self.t = 0
         dtypes = {p.dtype for p in parameters.values()}
         if len(dtypes) > 1:
@@ -102,8 +101,8 @@ class Adam:
     def step(self, lr: float, masks: Optional[Dict[str, np.ndarray]] = None):
         lr = float(lr)
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         live = tuple(p.grad is not None for p in self.parameters.values())
         for start, stop, spans, decayed, mask in self._runs(live, masks):
             grads = [p.grad.reshape(-1) for p, _, _ in spans]
@@ -113,18 +112,18 @@ class Adam:
             m, v = self._m[start:stop], self._v[start:stop]
             # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
             # update = lr * (m / bc1) / (sqrt(v / bc2) + eps)
-            m *= self.beta1
-            t = np.multiply(1.0 - self.beta1, g)
+            m *= BETA1
+            t = np.multiply(1.0 - BETA1, g)
             m += t
-            v *= self.beta2
-            np.multiply(1.0 - self.beta2, g, out=t)
+            v *= BETA2
+            np.multiply(1.0 - BETA2, g, out=t)
             np.multiply(t, g, out=t)
             v += t
             update = np.divide(m, bc1)
             np.multiply(lr, update, out=update)
             den = np.divide(v, bc2)
             np.sqrt(den, out=den)
-            np.add(den, self.eps, out=den)
+            np.add(den, EPS, out=den)
             np.divide(update, den, out=update)
             for p, a, b in decayed:
                 # added span by span, not through a 0/1 multiply: undecayed

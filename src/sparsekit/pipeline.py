@@ -32,11 +32,8 @@ TEACHER_CHUNK_ROWS = 64
 
 @dataclass
 class RunMetrics:
-    rows: List[tuple] = field(default_factory=list)
+    rows: List[tuple] = field(default_factory=list)  # METRICS_HEADER's columns, per logged step
     summary: dict = field(default_factory=dict)
-
-    def log(self, step, lr, target_sp, actual_sp, loss_pt, loss_kd, loss_total):
-        self.rows.append((step, lr, target_sp, actual_sp, loss_pt, loss_kd, loss_total))
 
     def to_csv_text(self) -> str:
         lines = [METRICS_HEADER]
@@ -137,10 +134,11 @@ def _step_loss(fw: ForwardResult, t_logits: Optional[T.Tensor],
 
 def _train(cfg: StageConfig, model: EncoderModel,
            forward: Callable[[int], tuple[ForwardResult, Optional[T.Tensor]]],
-           masks: Optional[Dict[str, np.ndarray]] = None) -> RunMetrics:
+           masks: Optional[Dict[str, np.ndarray]] = None) -> tuple[RunMetrics, float]:
     """The step loop of every stage: one Adam step on the loss of
     `forward(t)`, which gives the student's forward on step t's batch and
     the teacher's logits at the same rows (None without distillation).
+    Returns the logged rows and the last step's loss, logged or not.
 
     A stage prunes exactly when its config has a pruning section: gradual
     magnitude pruning on that schedule, under the rewound learning rate.
@@ -162,9 +160,9 @@ def _train(cfg: StageConfig, model: EncoderModel,
         # pattern frozen after the last mask recomputation; regrowth before it
         opt.step(lr, masks if sp is None or t >= sp.end_step else None)
         if t % cfg.log_every == 0:
-            metrics.log(t, lr, 0.0 if sp is None else target_sparsity(sp, t),
-                        sparsity_report(model).aggregate, l_pt, l_kd, float(loss.values))
-    return metrics
+            metrics.rows.append((t, lr, 0.0 if sp is None else target_sparsity(sp, t),
+                                 sparsity_report(model).aggregate, l_pt, l_kd, float(loss.values)))
+    return metrics, float(loss.values)
 
 
 def _train_mlm(cfg: StageConfig, model: EncoderModel,
@@ -181,8 +179,8 @@ def _train_mlm(cfg: StageConfig, model: EncoderModel,
         fw = model.forward_mlm(batch)
         with T.no_grad():
             return fw, None if teacher is None else teacher.forward_mlm(batch).logits
-    metrics = _train(cfg, model, forward)
-    metrics.summary = ({"final_train_loss": metrics.rows[-1][-1]} if cfg.pruning is None
+    metrics, last_loss = _train(cfg, model, forward)
+    metrics.summary = ({"final_train_loss": last_loss} if cfg.pruning is None
                        else {"final_sparsity": sparsity_report(model).aggregate})
     val = make_mlm_batch(corpus, seed=_batch_seed(cfg.data.corpus_seed, 999_999),
                          batch=cfg.batch_size, seq_len=cfg.seq_len, split="validation")
@@ -214,7 +212,7 @@ def _train_task(cfg: StageConfig, start_ckpt: Checkpoint, teacher_ckpt: Optional
         rows = task_minibatch_indices(task, _batch_seed(cfg.seed, t), cfg.batch_size)
         fw = model.forward_classify(task_minibatch(task, rows), quant=quant)
         return fw, None if teacher is None else teacher.logits(rows)
-    metrics = _train(cfg, model, forward, masks)
+    metrics, _ = _train(cfg, model, forward, masks)
     q8_names, qat_summary = (), {}
     if quant is not None:
         q8_names = quant.weight_names
@@ -276,8 +274,3 @@ def run_finetune_prune_baseline(cfg: StageConfig, dense_ckpt: Checkpoint,
     _expect_stage(cfg, "finetune-prune-baseline")
     return _train_task(cfg, dense_ckpt, teacher_ckpt)
 
-
-__all__ = [
-    "RunMetrics", "METRICS_HEADER", "run_teacher_prep", "run_student_prune",
-    "run_transfer", "run_qat", "run_finetune_prune_baseline",
-]

@@ -27,7 +27,7 @@ class LrSchedule:
     rewind: Optional[RewindWindow] = None
 
     def __post_init__(self):
-        if self.base_lr <= 0:
+        if not self.base_lr > 0:
             raise ContractError("base_lr must be positive")
         if not (0 <= self.warmup_steps <= self.total_steps):
             raise ContractError("warmup_steps must lie in [0, total_steps]")

@@ -13,34 +13,40 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 
-class ShapeError(ValueError):
+class SparsekitError(ValueError):
+    """Base of every error sparsekit raises on bad input."""
+
+
+class ShapeError(SparsekitError):
     """Input shapes invalid for a primitive."""
 
 
-class UnsupportedPrimitiveError(ValueError):
+class UnsupportedPrimitiveError(SparsekitError):
     """Unknown init scheme."""
 
 
-class ContractError(ValueError):
+class ContractError(SparsekitError):
     """Operation precondition violated."""
 
 
 GELU_COEFF = 0.044715
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+LN_EPS = 1e-5  # added to the variance in every layer norm
+# Target of a row that no cross-entropy scores, such as an unmasked MLM position.
+IGNORE_INDEX = -1
 
 
 class Tensor:
     """Dense array plus an optional gradient buffer and autodiff tape links."""
 
-    __slots__ = ("values", "grad", "requires_grad", "parents", "_backward", "name", "degenerate")
+    __slots__ = ("values", "grad", "requires_grad", "parents", "_backward", "degenerate")
 
-    def __init__(self, values, requires_grad=False, parents=(), backward_fn=None, name=None):
+    def __init__(self, values, requires_grad=False, parents=(), backward_fn=None):
         self.values = np.asarray(values)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
         self.parents: tuple = tuple(parents)
         self._backward: Optional[Callable] = backward_fn
-        self.name = name
         self.degenerate = False
 
     @property
@@ -59,7 +65,7 @@ class Tensor:
         self.grad = None
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, dtype={self.dtype}, name={self.name})"
+        return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
 
 def _wrap(x) -> Tensor:
@@ -208,11 +214,11 @@ def softmax_last_axis(a: Tensor) -> Tensor:
     return _node(s, (a,), back)
 
 
-def layer_norm_last_axis(a: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm_last_axis(a: Tensor) -> Tensor:
     x = a.values
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = (x - mu) * inv
 
     def back(g):
@@ -268,7 +274,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(out.reshape(xv.shape[:-1] + wv.shape[1:]), (x, w, b), back)
 
 
-def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """layer_norm(x + y) * gain + bias over the last axis."""
     if x.shape != y.shape or gain.shape != x.shape[-1:] or bias.shape != gain.shape:
         raise ShapeError(f"add-layer-norm: shapes {x.shape}, {y.shape}, {gain.shape}, "
@@ -276,7 +282,7 @@ def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, eps: float 
     xhat = x.values + y.values
     xhat -= _mean_last(xhat)
     inv = _mean_last(np.square(xhat))
-    np.add(inv, eps, out=inv)
+    np.add(inv, LN_EPS, out=inv)
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     np.multiply(xhat, inv, out=xhat)
@@ -382,19 +388,16 @@ def position_embedding(table: Tensor, batch: int, seq: int) -> Tensor:
     return _node(out, (table,), back)
 
 
-IGNORE_INDEX = -1
-
-
-def cross_entropy_with_targets(logits: Tensor, targets: np.ndarray, ignore_index: int = IGNORE_INDEX) -> Tensor:
+def cross_entropy_with_targets(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean negative log-likelihood over rows whose target is not ignored.
 
-    Rows with the ignore marker contribute nothing. When every row is
+    Rows whose target is IGNORE_INDEX contribute nothing. When every row is
     ignored, the loss is 0 and the result is flagged degenerate.
     """
     targets = np.asarray(targets)
     if logits.values.ndim != 2 or targets.shape != (logits.shape[0],):
         raise ShapeError(f"cross-entropy: logits {logits.shape} vs targets {targets.shape}")
-    sel = targets != ignore_index
+    sel = targets != IGNORE_INDEX
     count = int(sel.sum())
     logp = _log_softmax(logits.values)
     if count == 0:
@@ -419,15 +422,14 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _node(a.values * c, (a,), lambda g: (g * c,))
 
 
-def take_rows(a: Tensor, index: int, axis: int = 1) -> Tensor:
-    """Select one slice along an axis, keeping the remaining axes (model helper)."""
-    out = np.take(a.values, index, axis=axis)
+def take_rows(a: Tensor, index) -> Tensor:
+    """a[:, index], as a copy: the entries at `index` along axis 1, such as
+    each sequence's CLS state."""
+    out = np.take(a.values, index, axis=1)
 
     def back(g):
         ga = np.zeros_like(a.values)
-        idx = [slice(None)] * a.values.ndim
-        idx[axis] = index
-        ga[tuple(idx)] = g
+        ga[:, index] = g
         return (ga,)
 
     return _node(out, (a,), back)

@@ -1,14 +1,23 @@
 """Reference code that only the tests use: a finite-difference gradient
-check, and the subtract, mean and temperature-softmax nodes that the checks
-and identities are written with. No training path calls these."""
+check, the subtract, mean and temperature-softmax nodes that the checks
+and identities are written with, and a model's copy in another dtype. No
+training path calls these."""
 from __future__ import annotations
 
 from typing import Callable
 
 import numpy as np
 
+from sparsekit.model import EncoderModel
 from sparsekit.tensor import (ContractError, ShapeError, Tensor, _node, _softmax,
                               _unbroadcast, _wrap, backward)
+
+
+def astype(model: EncoderModel, dtype) -> EncoderModel:
+    """A copy of `model` whose parameters hold `dtype` values."""
+    params = {n: Tensor(p.values.astype(dtype), requires_grad=True)
+              for n, p in model.parameters.items()}
+    return EncoderModel(model.config, params)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:

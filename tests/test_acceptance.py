@@ -27,7 +27,7 @@ from sparsekit.report import compression_report, payload_size_ratio, schedule_ex
 from sparsekit.schedule import LrSchedule, RewindWindow, lr_base, lr_rewound
 from sparsekit.tensor import Tensor
 
-from oracles import finite_diff_check, mean, soft_probs, sub
+from oracles import astype, finite_diff_check, mean, soft_probs, sub
 
 
 def criterion(num, title):
@@ -190,8 +190,8 @@ def test_criterion_05_gradients():
     # full combined loss on a 2-layer hidden-32 model in float64
     cfg = ModelConfig(num_layers=2, hidden=32, heads=4, ffn_dim=64, vocab=16,
                       max_seq=8, has_pooler=False, head_kind="mlm")
-    student = build_model(cfg, seed=51).astype(np.float64)
-    teacher = build_model(cfg, seed=52).astype(np.float64)
+    student = astype(build_model(cfg, seed=51), np.float64)
+    teacher = astype(build_model(cfg, seed=52), np.float64)
 
     from sparsekit.data import MlmBatch
     ids = rng.integers(5, 16, size=(2, 6))

@@ -3,9 +3,11 @@ import re
 import numpy as np
 import pytest
 
-from sparsekit.checkpoint import checkpoint_from_model, load_checkpoint, save_checkpoint
+from sparsekit.checkpoint import (FormatError, checkpoint_from_model, load_checkpoint,
+                                  save_checkpoint)
 from sparsekit.cli import main
-from sparsekit.model import ModelConfig, build_model
+from sparsekit.model import ConfigError, DataError, ModelConfig, build_model
+from sparsekit.tensor import ContractError, ShapeError, SparsekitError, UnsupportedPrimitiveError
 
 SMALL_MODEL = """
 [model]
@@ -220,6 +222,47 @@ def test_out_of_range_run_value_is_one_line_error(key, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: {key} must be >= 1, got 0\n"
     assert not (tmp_path / "x.ckpt").exists()
+
+
+# Each of these ended in a traceback, or, for NaN, in exit 0 and a
+# checkpoint whose val_loss is NaN. The [model] line overrides SMALL_MODEL's.
+@pytest.mark.parametrize("command, section, line, message", [
+    ("teacher-prep", "model", "heads = 0", "heads must be >= 1, got 0"),
+    ("teacher-prep", "model", "hidden = 0", "hidden must be >= 1, got 0"),
+    ("teacher-prep", "model", "ffn_dim = 0", "ffn_dim must be >= 1, got 0"),
+    ("teacher-prep", "model", "num_layers = -1", "num_layers must be >= 0, got -1"),
+    ("teacher-prep", "optimizer", "lr = nan", "lr must be positive and finite, got nan"),
+    ("teacher-prep", "optimizer", "lr = inf", "lr must be positive and finite, got inf"),
+    ("teacher-prep", "optimizer", "weight_decay = nan",
+     "weight_decay must be >= 0 and finite, got nan"),
+    ("teacher-prep", "distill", "lambda_pt = nan",
+     "loss weights must be finite, non-negative and not both zero, got nan and 0.5"),
+    ("teacher-prep", "distill", "temperature = nan",
+     "temperature must be positive and finite, got nan"),
+    ("finetune", "data", "num_labels = 100", "num_labels = 100 exceeds the 27 regular tokens"),
+])
+def test_out_of_range_config_value_is_one_line_error(command, section, line, message, tmp_path,
+                                                     capsys):
+    cfg = TEACHER_CFG if command == "teacher-prep" else TRANSFER_CFG
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{cfg}\n[{section}]\n{line}\n")
+    # an untrained start checkpoint with SMALL_MODEL's encoder
+    model = build_model(ModelConfig(num_layers=2, hidden=16, heads=2, ffn_dim=32, vocab=32,
+                                    max_seq=16), seed=0)
+    save_checkpoint(checkpoint_from_model(model, "student-prune"), tmp_path / "start.ckpt")
+    start = ["--ckpt", str(tmp_path / "start.ckpt")] if command == "finetune" else []
+    out = tmp_path / "x.ckpt"
+    rc = main([command, "--config", str(path), *start, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_every_typed_error_is_a_sparsekit_error():
+    for cls in (ShapeError, ContractError, UnsupportedPrimitiveError, ConfigError, DataError,
+                FormatError):
+        assert issubclass(cls, SparsekitError)
+    assert issubclass(SparsekitError, ValueError)
 
 
 # [run] seq_len below 2 leaves no room for the two context tokens.

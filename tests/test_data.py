@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from sparsekit.data import (CLS, IGNORE_LABEL, MASK, NUM_RESERVED, PAD, SEP,
+from sparsekit.data import (CLS, MASK, NUM_RESERVED, PAD, SEP,
                             _rng, build_synthetic_corpus, make_mlm_batch,
                             make_task_dataset, task_minibatch,
                             task_minibatch_indices)
-from sparsekit.tensor import ContractError
+from sparsekit.tensor import IGNORE_INDEX, ContractError
 
 
 def test_corpus_split_and_shapes():
@@ -118,7 +118,7 @@ def test_mlm_batch_layout(corpus):
         assert b.input_ids[i, n - 1] == SEP
         assert (b.input_ids[i, n:] == PAD).all()
         # labels only on attended, non-special positions
-        labelled = np.flatnonzero(b.labels[i] != IGNORE_LABEL)
+        labelled = np.flatnonzero(b.labels[i] != IGNORE_INDEX)
         assert all(0 < j < n - 1 for j in labelled)
 
 
@@ -126,7 +126,7 @@ def test_mlm_masking_rates(corpus):
     total, masked, kept_as_mask, kept_same = 0, 0, 0, 0
     for s in range(40):
         b = make_mlm_batch(corpus, seed=s, batch=16, seq_len=24, short_prob=0.0)
-        body = b.labels != IGNORE_LABEL
+        body = b.labels != IGNORE_INDEX
         total += int((b.attention_mask.sum(axis=1) - 2).sum())
         masked += int(body.sum())
         kept_as_mask += int(((b.input_ids == MASK) & body).sum())

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sparsekit.distill import DistillConfig, combined_loss, kd_loss
-from sparsekit.tensor import ContractError, ShapeError, Tensor, backward
+from sparsekit.tensor import (ContractError, ShapeError, Tensor, add, backward,
+                              cross_entropy_with_targets, scale)
 
 from oracles import finite_diff_check, soft_probs
 
@@ -93,6 +94,12 @@ def test_kd_no_gradient_to_teacher():
     assert zt.grad is None
 
 
+@pytest.mark.parametrize("temperature", [0.0, -1.0, math.nan])
+def test_kd_bad_temperature(temperature):
+    with pytest.raises(ContractError, match="temperature must be positive"):
+        kd_loss(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), temperature)
+
+
 def test_kd_shape_mismatch():
     with pytest.raises(ShapeError):
         kd_loss(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), 1.0)
@@ -106,6 +113,44 @@ def test_combined_loss_examples():
     assert float(combined_loss(Tensor(np.asarray(2.0)), Tensor(np.asarray(1.0)), kd_only).values) == 1.0
     pt_only = DistillConfig(temperature=2.0, lambda_pt=1.0, lambda_kd=0.0)
     assert float(combined_loss(Tensor(np.asarray(2.0)), Tensor(np.asarray(1.0)), pt_only).values) == 2.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lambda_pt, lambda_kd", [(0.0, 1.0), (0.0, 0.3), (0.7, 0.0)])
+def test_combined_loss_with_a_zero_weight_keeps_the_two_term_bytes(lambda_pt, lambda_kd, dtype):
+    """With the zero-weighted term left off the tape, the loss and the
+    logits' gradient keep the bytes of lambda_pt * l_pt + lambda_kd * l_kd."""
+    rng = np.random.Generator(np.random.PCG64(5))
+    zs, zt = ((rng.standard_normal((16, 5)) * 3).astype(dtype) for _ in range(2))
+    targets = rng.integers(0, 5, size=16)
+    cfg = DistillConfig(2.0, lambda_pt, lambda_kd)
+
+    def loss_and_grad(mix):
+        logits = Tensor(zs.copy(), requires_grad=True)
+        loss = mix(cross_entropy_with_targets(logits, targets), kd_loss(logits, Tensor(zt), 2.0))
+        backward(loss)
+        return loss.values.tobytes(), logits.grad.tobytes()
+
+    def two_terms(l_pt, l_kd):
+        return add(scale(l_pt, lambda_pt), scale(l_kd, lambda_kd))
+
+    assert loss_and_grad(lambda l_pt, l_kd: combined_loss(l_pt, l_kd, cfg)) \
+        == loss_and_grad(two_terms)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_combined_loss_keeps_a_non_finite_zero_weighted_term(value):
+    cfg = DistillConfig(2.0, lambda_pt=0.0, lambda_kd=1.0)
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        out = combined_loss(Tensor(np.asarray(value)), Tensor(np.asarray(1.0)), cfg)
+    assert np.isnan(out.values)
+
+
+@pytest.mark.parametrize("key", ["temperature", "lambda_pt", "lambda_kd"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_distill_config_rejects_non_finite_values(key, value):
+    with pytest.raises(ContractError, match="finite"):
+        DistillConfig(**{key: value})
 
 
 def test_distill_config_invariants():

@@ -10,6 +10,8 @@ from sparsekit.model import (ConfigError, DataError, ModelConfig, build_model,
 from sparsekit.optim import Adam
 from sparsekit.quant import QatContext
 
+from oracles import astype, finite_diff_check
+
 
 def small_config(**kw):
     base = dict(num_layers=2, hidden=32, heads=4, ffn_dim=64, vocab=100,
@@ -48,6 +50,16 @@ def test_divisibility_config_error():
         small_config(hidden=30)
 
 
+# heads = 0 used to end in a ZeroDivisionError, hidden or ffn_dim = 0 in a
+# numpy ValueError and num_layers = -1 in a ShapeError.
+@pytest.mark.parametrize("key, value, low", [("heads", 0, 1), ("hidden", 0, 1), ("ffn_dim", 0, 1),
+                                             ("num_layers", -1, 0), ("vocab", 7, 8),
+                                             ("max_seq", 3, 4)])
+def test_out_of_range_size_config_error(key, value, low):
+    with pytest.raises(ConfigError, match=f"^{key} must be >= {low}, got {value}$"):
+        small_config(**{key: value})
+
+
 @pytest.mark.parametrize("head_kind", ["both", "none"])
 def test_unknown_head_kind_config_error(head_kind):
     with pytest.raises(ConfigError, match="unknown head kind"):
@@ -72,6 +84,27 @@ def test_prunable_all_2d():
         assert model.parameters[name].values.ndim == 2
 
 
+def test_logits_alone_build_no_cross_entropy(monkeypatch):
+    """A tape-free teacher reads only the logits of forward_mlm, so no
+    cross-entropy is computed for it. The loss is built on first read, once."""
+    calls = []
+    ce = T.cross_entropy_with_targets
+
+    def counted(logits, targets):
+        calls.append(targets)
+        return ce(logits, targets)
+
+    monkeypatch.setattr(T, "cross_entropy_with_targets", counted)
+    model, batch = build_model(small_config(), seed=0), mlm_batch()
+    with T.no_grad():
+        logits = model.forward_mlm(batch).logits
+    assert calls == [] and logits.shape == (6, 100)
+    fw = model.forward_mlm(batch)
+    assert fw.loss is fw.loss and len(calls) == 1
+    assert fw.loss.values.tobytes() == ce(fw.logits, fw.targets).values.tobytes()
+    assert (fw.targets == batch.labels[batch.labels != -1]).all()
+
+
 def test_mlm_zero_masked_degenerate():
     model = build_model(small_config(), seed=0)
     batch = mlm_batch(n_masked=0)
@@ -85,7 +118,7 @@ def test_mlm_logits_are_the_masked_rows_of_a_full_forward(num_layers):
     """forward_mlm's logits are the full forward's logits at the masked
     positions, in row-major order, for any depth: with no layer there is no
     last layer to restrict, and the rows are taken from the embeddings."""
-    model = build_model(small_config(num_layers=num_layers), seed=4).astype(np.float64)
+    model = astype(build_model(small_config(num_layers=num_layers), seed=4), np.float64)
     batch = mlm_batch(seed=5, n_masked=9)
     rows = np.flatnonzero(batch.labels.reshape(-1) != -1)
     full = T.linear(model.encode(batch.input_ids, batch.attention_mask),
@@ -151,9 +184,8 @@ def test_batch_permutation_equivariance():
 def test_full_model_finite_diff():
     cfg = ModelConfig(num_layers=1, hidden=8, heads=2, ffn_dim=16, vocab=16,
                       max_seq=8, has_pooler=False, head_kind="mlm")
-    model = build_model(cfg, seed=0).astype(np.float64)
+    model = astype(build_model(cfg, seed=0), np.float64)
     batch = mlm_batch(vocab=16, batch=2, seq=6, n_masked=4)
-    from oracles import finite_diff_check
 
     loss_fn = lambda: model.forward_mlm(batch).loss
     for name in ("layer.0.q.weight", "layer.0.ffn_in.weight", "embeddings.token"):

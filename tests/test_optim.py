@@ -7,7 +7,7 @@ from sparsekit.tensor import ContractError, Tensor
 
 
 def _param(values, name="w.weight"):
-    t = Tensor(np.asarray(values, dtype=np.float32), requires_grad=True, name=name)
+    t = Tensor(np.asarray(values, dtype=np.float32), requires_grad=True)
     return {name: t}
 
 

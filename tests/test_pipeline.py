@@ -21,7 +21,7 @@ from sparsekit.pipeline import (METRICS_HEADER, _batch_seed, _make_task, _step_l
                                 run_teacher_prep, run_transfer)
 from sparsekit.pruning import SparsitySchedule, target_sparsity
 
-from oracles import mean
+from oracles import astype, mean
 
 
 def _zero_set(ckpt, name):
@@ -201,6 +201,51 @@ def test_task_stage_honours_distill_weights(stage, teacher_ckpt, task_teacher_ck
     assert any(total != l_kd for *_, l_kd, total in metrics.rows)
 
 
+def _task_kd_step(nan_logits=False):
+    """One KD task step at the transfer defaults (lambda_pt 0, lambda_kd 1),
+    on untrained models. Returns the student's forward and _step_loss."""
+    cfg = default_config("transfer", seed=1)
+    batch = task_minibatch(_make_task(cfg), np.arange(8))
+    student, teacher = build_model(cfg.model, 0), build_model(cfg.model, 1)
+    if nan_logits:
+        student.parameters["classify_head.bias"].values[0] = np.nan
+    fw = student.forward_classify(batch)
+    with T.no_grad():
+        t_logits = teacher.forward_classify(batch).logits
+    return fw, _step_loss(fw, t_logits, cfg.distill)
+
+
+def test_kd_task_step_at_zero_lambda_pt_skips_cross_entropy_backward():
+    fw, (loss, l_pt, _) = _task_kd_step()
+    ce_backward, visits = fw.loss._backward, []
+
+    def counted(g):
+        visits.append(g)
+        return ce_backward(g)
+
+    fw.loss._backward = counted
+    T.backward(loss)
+    assert visits == []
+    assert l_pt == float(fw.loss.values) > 0  # the hard loss is still logged
+
+
+def test_nan_student_logits_give_nan_step_loss_at_zero_lambda_pt():
+    fw, (loss, l_pt, l_kd) = _task_kd_step(nan_logits=True)
+    assert np.isnan(fw.logits.values).any()
+    assert np.isnan(float(loss.values)) and np.isnan(l_pt) and np.isnan(l_kd)
+
+
+def test_final_train_loss_is_the_last_steps_loss():
+    """With log_every 7 over 10 steps the last logged step is 7; the summary
+    reports step 9's loss all the same, and the CSV holds the logged rows."""
+    cfg = default_config("teacher-prep", seed=1, steps=10, log_every=7)
+    ckpt, metrics = run_teacher_prep(cfg)
+    _, every = run_teacher_prep(replace(cfg, log_every=1))
+    assert metrics.rows == [every.rows[0], every.rows[7]]
+    assert every.rows[9][-1] != every.rows[7][-1]
+    assert ckpt.metrics["final_train_loss"] == every.rows[9][-1]
+
+
 def test_stage_determinism():
     cfg = default_config("teacher-prep", seed=9, steps=15)
     a_ckpt, a_metrics = run_teacher_prep(cfg)
@@ -297,8 +342,8 @@ def _float64_mlm_case(shape, n_masked):
     positions keep their labels."""
     cfg = default_config("student-prune", seed=1)
     model_cfg = replace(cfg.model, head_kind="mlm", **MLM_SHAPES[shape])
-    student = build_model(model_cfg, seed=31).astype(np.float64)
-    teacher = build_model(model_cfg, seed=32).astype(np.float64)
+    student = astype(build_model(model_cfg, seed=31), np.float64)
+    teacher = astype(build_model(model_cfg, seed=32), np.float64)
     corpus = build_synthetic_corpus(1, 64, vocab_size=model_cfg.vocab)
     batch = make_mlm_batch(corpus, 5, cfg.batch_size, cfg.seq_len)
     if n_masked is not None:

@@ -8,8 +8,9 @@ Tensor record: name | u8 ndim | u32 dims | u8 storage kind |
                [int8 header] | [bitmap | u32 nnz] | payload
   kind 0 dense-f32: f32 payload of every value
   kind 1 sparse:    bitmap (ceil(n/8) bytes, bit = nonzero) | u32 nnz | f32 nonzero payload
-  kind 2 q8:        int8 header (f32 scale | i32 zero point | u8 has_bitmap), then
-                    bitmap | u32 nnz when has_bitmap is 1, then the int8 payload
+  kind 2 q8:        int8 header (f32 scale | i32 zero point, always 0 |
+                    u8 has_bitmap), then bitmap | u32 nnz when has_bitmap is 1,
+                    then the int8 payload
 Strings are u16 length-prefixed UTF-8; blobs are u32 length-prefixed.
 deserialize reads back only what serialize writes: anything else, trailing
 bytes after the config hash included, raises FormatError with its offset.
@@ -40,14 +41,13 @@ class FormatError(SparsekitError):
 @dataclass
 class TensorRecord:
     """One stored tensor. `payload` holds every value in flat order, or only
-    the nonzeros when there is a bitmap. It is int8, dequantized with
-    `scale` and `zero_point`, exactly when `scale` is set; f32 otherwise."""
+    the nonzeros when there is a bitmap. It is int8, dequantized on the
+    symmetric grid of `scale`, exactly when `scale` is set; f32 otherwise."""
     name: str
     shape: tuple
     payload: np.ndarray
     bitmap: Optional[np.ndarray] = None  # bool, flat, True = nonzero
     scale: Optional[float] = None
-    zero_point: int = 0
 
     @property
     def storage(self) -> int:
@@ -63,8 +63,7 @@ class TensorRecord:
     def to_dense(self) -> np.ndarray:
         values = self.payload
         if self.scale is not None:
-            grid = replace(weight_grid(self.scale), zero_point=self.zero_point)
-            values = dequantize(values, grid)
+            values = dequantize(values, weight_grid(self.scale))
         if self.bitmap is None:
             return values.reshape(self.shape).copy()
         flat = np.zeros(self.size, dtype=np.float32)
@@ -208,7 +207,7 @@ def serialize(ckpt: Checkpoint) -> bytes:
         out.append(_pack_str(name))
         out.append(struct.pack(f"<B{len(rec.shape)}IB", len(rec.shape), *rec.shape, rec.storage))
         if rec.scale is not None:
-            out.append(struct.pack("<fiB", rec.scale, rec.zero_point, rec.bitmap is not None))
+            out.append(struct.pack("<fiB", rec.scale, 0, rec.bitmap is not None))
         if rec.bitmap is not None:
             out.append(np.packbits(rec.bitmap).tobytes())
             out.append(struct.pack("<I", rec.payload.size))
@@ -262,11 +261,13 @@ def _read_record(r: _Reader, name: str) -> TensorRecord:
     (storage,) = r.unpack("<B")
     if storage not in (DENSE_F32, SPARSE, Q8):
         raise FormatError(f"unknown storage kind {storage} at offset {at}")
-    scale, zero_point, has_bitmap = None, 0, storage == SPARSE
+    scale, has_bitmap = None, storage == SPARSE
     if storage == Q8:
-        scale, zero_point, has_bitmap = r.unpack("<fiB")
+        scale, zp, has_bitmap = r.unpack("<fiB")
         if not scale > 0 or has_bitmap > 1:
             raise FormatError(f"bad int8 header at offset {at + 1}")
+        if zp != 0:  # weight grids are symmetric
+            raise FormatError(f"int8 zero point {zp} is not 0 at offset {at + 5}")
     n = math.prod(shape)
     bitmap, count = None, n
     if has_bitmap:
@@ -278,7 +279,7 @@ def _read_record(r: _Reader, name: str) -> TensorRecord:
         bitmap = bits[:n].astype(bool)
     dtype = np.dtype("<f4" if scale is None else "i1")
     payload = np.frombuffer(r.take(count * dtype.itemsize), dtype=dtype).copy()
-    return TensorRecord(name, shape, payload, bitmap, scale, zero_point)
+    return TensorRecord(name, shape, payload, bitmap, scale)
 
 
 def deserialize(data: bytes) -> Checkpoint:

@@ -61,6 +61,9 @@ class StageConfig:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if not 0 <= self.weight_decay < math.inf:
             raise ConfigError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
+        # teacher-prep has no teacher; every other stage would run one that no loss reads
+        if self.kd_enabled and self.stage != "teacher-prep" and self.distill.lambda_kd == 0:
+            raise ConfigError("lambda_kd = 0 leaves the teacher unused; set kd = false")
         # the mask freezes at end_step, so a window that outlasts training never freezes
         if self.pruning is not None and self.pruning.end_step >= self.steps:
             raise ConfigError(f"pruning end_step {self.pruning.end_step} must be below "

@@ -6,7 +6,7 @@ from typing import List
 
 import numpy as np
 
-from .tensor import IGNORE_INDEX, ContractError
+from .tensor import ContractError
 
 PAD, MASK, UNK, CLS, SEP = 0, 1, 2, 3, 4
 NUM_RESERVED = 5
@@ -76,8 +76,12 @@ def build_synthetic_corpus(seed: int, num_sequences: int, vocab_size: int = 64,
 
 @dataclass
 class MlmBatch:
+    """Masked token ids, and the positions that the MLM loss scores: their
+    flat indices into the batch x seq grid in row-major order, and each
+    one's original id."""
     input_ids: np.ndarray
-    labels: np.ndarray
+    positions: np.ndarray
+    targets: np.ndarray
     attention_mask: np.ndarray
 
 
@@ -88,7 +92,7 @@ def make_mlm_batch(corpus: Corpus, seed: int, batch: int, seq_len: int,
     rng = _rng("mlm", seed)
     regular = _regular_ids(corpus.vocab_size)
     input_ids = np.full((batch, seq_len), PAD, dtype=np.int64)
-    labels = np.full((batch, seq_len), IGNORE_INDEX, dtype=np.int64)
+    positions, targets = [], []
     attention = np.zeros((batch, seq_len), dtype=np.int64)
     for i in range(batch):
         seq = pool[int(rng.integers(0, len(pool)))]
@@ -102,13 +106,15 @@ def make_mlm_batch(corpus: Corpus, seed: int, batch: int, seq_len: int,
         attention[i, :n] = 1
         for j in range(1, n - 1):  # skip CLS and SEP
             if rng.random() < 0.15:
-                labels[i, j] = input_ids[i, j]
+                positions.append(i * seq_len + j)
+                targets.append(input_ids[i, j])
                 r = rng.random()
                 if r < 0.8:
                     input_ids[i, j] = MASK
                 elif r < 0.9:
                     input_ids[i, j] = int(rng.choice(regular))
-    return MlmBatch(input_ids, labels, attention)
+    return MlmBatch(input_ids, np.array(positions, dtype=np.int64),
+                    np.array(targets, dtype=np.int64), attention)
 
 
 @dataclass

@@ -27,23 +27,17 @@ class DistillConfig:
 
 
 def kd_loss(student_logits: Tensor, teacher_logits: Tensor, temperature: float) -> Tensor:
-    """Soft cross-entropy between temperature-softened distributions, the
-    mean over rows. With no rows the loss is 0 and flagged degenerate. The
-    teacher side is a constant: no gradient flows to it.
+    """Soft cross-entropy between temperature-softened distributions of
+    (rows, classes) logits, the mean over rows; 0 with no rows. The teacher
+    side is a constant: no gradient flows to it.
     """
     if not temperature > 0:
         raise ContractError(f"temperature must be positive, got {temperature}")
-    if student_logits.shape != teacher_logits.shape:
+    if student_logits.values.ndim != 2 or student_logits.shape != teacher_logits.shape:
         raise ShapeError(
             f"kd_loss: student {student_logits.shape} vs teacher {teacher_logits.shape}")
-    zs = student_logits.values.reshape(-1, student_logits.shape[-1])
-    zt = teacher_logits.values.reshape(-1, teacher_logits.shape[-1])
-    if zs.shape[0] == 0:
-        out = _node(np.zeros((), dtype=zs.dtype), (student_logits,),
-                    lambda g: (np.zeros_like(student_logits.values),))
-        out.degenerate = True
-        return out
-    count = zs.dtype.type(zs.shape[0])
+    zs, zt = student_logits.values, teacher_logits.values
+    count = zs.dtype.type(max(zs.shape[0], 1))
 
     t = _softmax(zt / temperature)
     log_s = _log_softmax(zs / temperature)
@@ -52,8 +46,7 @@ def kd_loss(student_logits: Tensor, teacher_logits: Tensor, temperature: float) 
     s = np.exp(log_s)
 
     def back(g):
-        grad = (s - t) * (1 / count) / temperature
-        return (g * grad.reshape(student_logits.shape),)
+        return (g * ((s - t) * (1 / count) / temperature),)
 
     return _node(np.asarray(loss, dtype=zs.dtype), (student_logits,), back)
 

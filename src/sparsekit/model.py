@@ -177,18 +177,15 @@ class EncoderModel:
         return T.reshape(x, (rows.size, cfg.hidden))
 
     def forward_mlm(self, batch) -> ForwardResult:
-        """MLM logits and targets at the masked positions (labels other
-        than IGNORE_INDEX) alone. The logits are (n_masked, vocab), in
-        row-major order of the masked positions; the loss is their mean
-        cross-entropy, 0 and flagged degenerate when nothing is masked."""
+        """MLM logits and targets at the batch's masked positions alone. The
+        logits are (n_masked, vocab), in row-major order of the positions;
+        the loss is their mean cross-entropy, 0 when nothing is masked."""
         if self.config.head_kind != "mlm":
             raise ConfigError("model has no MLM head")
-        labels = batch.labels.reshape(-1)
-        rows = np.flatnonzero(labels != T.IGNORE_INDEX)
-        hidden = self.encode(batch.input_ids, batch.attention_mask, rows=rows)
+        hidden = self.encode(batch.input_ids, batch.attention_mask, rows=batch.positions)
         logits = T.linear(hidden, self.parameters["mlm_head.weight"],
                           self.parameters["mlm_head.bias"])
-        return ForwardResult(logits, labels[rows])
+        return ForwardResult(logits, batch.targets)
 
     def classify_logits(self, cls: Tensor, quant=None) -> Tensor:
         """Pooler (when present) and classification head over CLS states
@@ -206,10 +203,10 @@ class EncoderModel:
                              batch.labels)
 
 
-def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> EncoderModel:
-    """Deterministic init: weights N(0, 0.02^2), biases zero, LN gains one."""
+def build_model(config: ModelConfig, seed: int) -> EncoderModel:
+    """Deterministic float32 init: weights N(0, 0.02^2), biases zero, LN gains one."""
     params: Dict[str, Tensor] = {}
     for idx, (name, shape, scheme) in enumerate(parameter_specs(config)):
         sub = int(np.random.SeedSequence((seed, idx)).generate_state(1)[0])
-        params[name] = T.seeded_init(shape, scheme, sub, dtype=dtype)
+        params[name] = T.seeded_init(shape, scheme, sub)
     return EncoderModel(config, params)

@@ -26,9 +26,9 @@ class Adam:
     walks them in runs of consecutive parameters that have a gradient, at
     most RUN_SIZE values long unless one parameter alone is longer, and runs
     its arithmetic once per run. The arithmetic is elementwise, so every
-    value equals what a loop over the parameters computes. `m` and `v` map
-    each name to its slice, shaped like the parameter. The parameters keep
-    their own arrays, which are updated in place.
+    value equals what a loop over the parameters computes. Parameter i's
+    slice is `_bounds[i]:_bounds[i + 1]`, in the order of `parameters`. The
+    parameters keep their own arrays, which are updated in place.
 
     The learning rate, the weight decay and BETA1, BETA2 and EPS are Python floats,
     which numpy applies in the dtype of the array operand, so each step of
@@ -45,14 +45,8 @@ class Adam:
         self._bounds = list(accumulate((p.size for p in parameters.values()), initial=0))
         self._m = np.zeros(self._bounds[-1], dtype=dtype)
         self._v = np.zeros(self._bounds[-1], dtype=dtype)
-        self.m = self._views(self._m)
-        self.v = self._views(self._v)
         self._runs_key: tuple = (None, None)  # (which parameters had a gradient, mask set)
         self._runs_cache: list = []
-
-    def _views(self, flat: np.ndarray) -> Dict[str, np.ndarray]:
-        return {n: flat[lo:hi].reshape(p.shape)
-                for (n, p), lo, hi in zip(self.parameters.items(), self._bounds, self._bounds[1:])}
 
     def zero_grad(self):
         for p in self.parameters.values():

@@ -1,8 +1,8 @@
 """Minimal reverse-mode autodiff over dense numpy tensors.
 
 Only the primitives needed by the encoder model and its training losses are
-implemented. Values are float32 by default; a float64 mode exists so the
-finite-difference gradient oracle stays honest.
+implemented. Parameters are float32; every primitive also runs in float64,
+so the finite-difference gradient oracle stays honest.
 """
 from __future__ import annotations
 
@@ -32,14 +32,12 @@ class ContractError(SparsekitError):
 GELU_COEFF = 0.044715
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 LN_EPS = 1e-5  # added to the variance in every layer norm
-# Target of a row that no cross-entropy scores, such as an unmasked MLM position.
-IGNORE_INDEX = -1
 
 
 class Tensor:
     """Dense array plus an optional gradient buffer and autodiff tape links."""
 
-    __slots__ = ("values", "grad", "requires_grad", "parents", "_backward", "degenerate")
+    __slots__ = ("values", "grad", "requires_grad", "parents", "_backward")
 
     def __init__(self, values, requires_grad=False, parents=(), backward_fn=None):
         self.values = np.asarray(values)
@@ -47,7 +45,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self.parents: tuple = tuple(parents)
         self._backward: Optional[Callable] = backward_fn
-        self.degenerate = False
 
     @property
     def shape(self):
@@ -389,30 +386,23 @@ def position_embedding(table: Tensor, batch: int, seq: int) -> Tensor:
 
 
 def cross_entropy_with_targets(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood over rows whose target is not ignored.
-
-    Rows whose target is IGNORE_INDEX contribute nothing. When every row is
-    ignored, the loss is 0 and the result is flagged degenerate.
-    """
+    """Mean negative log-likelihood of one target class per row of
+    (rows, classes) logits; 0 with no rows."""
     targets = np.asarray(targets)
     if logits.values.ndim != 2 or targets.shape != (logits.shape[0],):
         raise ShapeError(f"cross-entropy: logits {logits.shape} vs targets {targets.shape}")
-    sel = targets != IGNORE_INDEX
-    count = int(sel.sum())
+    if targets.min(initial=0) < 0 or targets.max(initial=0) >= logits.shape[1]:
+        raise ShapeError(f"cross-entropy: target out of range for {logits.shape[1]} classes")
+    rows = np.arange(targets.shape[0])
+    n = max(rows.size, 1)
     logp = _log_softmax(logits.values)
-    if count == 0:
-        out = _node(np.zeros((), dtype=logits.dtype), (logits,), lambda g: (np.zeros_like(logits.values),))
-        out.degenerate = True
-        return out
-    safe = np.where(sel, targets, 0)
-    picked = logp[np.arange(targets.shape[0]), safe]
-    loss = -(picked * sel).sum() / count
+    # the sum of the negated terms: +0.0 for no rows, where -sum would be -0.0
+    loss = (-logp[rows, targets]).sum() / n
 
     def back(g):
-        probs = np.exp(logp)
-        grad = probs.copy()
-        grad[np.arange(targets.shape[0]), safe] -= 1.0
-        grad *= (sel / count)[:, None]
+        grad = np.exp(logp)
+        grad[rows, targets] -= 1.0
+        grad *= np.float64(1 / n)  # a float64 weight: each product rounds once to the dtype
         return (g * grad,)
 
     return _node(np.asarray(loss, dtype=logits.dtype), (logits,), back)
@@ -478,16 +468,16 @@ def backward(loss: Tensor) -> None:
 
 # -- initialization -------------------------------------------------------
 
-def seeded_init(shape, scheme: str, seed: int, dtype=np.float32) -> Tensor:
-    """Deterministic parameter init; PRNG is numpy PCG64 keyed by the seed."""
+def seeded_init(shape, scheme: str, seed: int) -> Tensor:
+    """Deterministic float32 parameter init; PRNG is numpy PCG64 keyed by the seed."""
     shape = tuple(shape)
     if scheme == "zeros":
-        vals = np.zeros(shape, dtype=dtype)
+        vals = np.zeros(shape, dtype=np.float32)
     elif scheme == "ones":
-        vals = np.ones(shape, dtype=dtype)
+        vals = np.ones(shape, dtype=np.float32)
     elif scheme == "normal-0.02":
         rng = np.random.Generator(np.random.PCG64(seed))
-        vals = (rng.standard_normal(shape) * 0.02).astype(dtype)
+        vals = (rng.standard_normal(shape) * 0.02).astype(np.float32)
     else:
         raise UnsupportedPrimitiveError(f"unknown init scheme {scheme!r}")
     return Tensor(vals, requires_grad=True)

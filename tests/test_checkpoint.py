@@ -287,6 +287,18 @@ def test_corrupt_field_is_format_error(shape, old, new, error):
         deserialize(raw.replace(old, new))
 
 
+# Weight grids are symmetric and serialize writes zero point 0; any other
+# value used to load, dequantized about it.
+@pytest.mark.parametrize("shape", ["q8-dense", "q8-bitmap"])
+@pytest.mark.parametrize("zp", [5, -1])
+def test_nonzero_int8_zero_point_is_format_error(shape, zp):
+    raw = _golden_raw(shape)
+    at = raw.index(_SCALE + bytes(4)) + len(_SCALE)
+    bad = raw[:at] + struct.pack("<i", zp) + raw[at + 4:]
+    with pytest.raises(FormatError, match=f"^int8 zero point {zp} is not 0 at offset {at}$"):
+        deserialize(bad)
+
+
 def test_duplicate_tensor_name_rejected():
     raw = _golden_raw("dense-f32", v=dense_record("v", _golden_tensor()))
     with pytest.raises(FormatError, match="duplicate tensor 'w' at offset"):

@@ -136,7 +136,7 @@ def test_schedule_export_takes_only_config_and_out(flag, workdir, tmp_path, monk
 @pytest.mark.parametrize("command, key", [("teacher-prep", "num_sequences"),
                                           ("finetune", "num_examples")])
 def test_empty_data_split_is_one_line_error(command, key, workdir, tmp_path, capsys):
-    cfg = TEACHER_CFG if command == "teacher-prep" else TRANSFER_CFG
+    cfg = {"teacher-prep": TEACHER_CFG, "prune": PRUNE_CFG}.get(command, TRANSFER_CFG)
     path = tmp_path / "small.cfg"
     path.write_text(re.sub(rf"{key} = \d+", f"{key} = 10", cfg))
     start = ["--ckpt", str(workdir / "sparse.ckpt")] if command == "finetune" else []
@@ -225,7 +225,8 @@ def test_out_of_range_run_value_is_one_line_error(key, tmp_path, capsys):
 
 
 # Each of these ended in a traceback, or, for NaN, in exit 0 and a
-# checkpoint whose val_loss is NaN. The [model] line overrides SMALL_MODEL's.
+# checkpoint whose val_loss is NaN; lambda_kd = 0 with kd on ran a teacher
+# forward per step that no loss read. The [model] line overrides SMALL_MODEL's.
 @pytest.mark.parametrize("command, section, line, message", [
     ("teacher-prep", "model", "heads = 0", "heads must be >= 1, got 0"),
     ("teacher-prep", "model", "hidden = 0", "hidden must be >= 1, got 0"),
@@ -240,17 +241,19 @@ def test_out_of_range_run_value_is_one_line_error(key, tmp_path, capsys):
     ("teacher-prep", "distill", "temperature = nan",
      "temperature must be positive and finite, got nan"),
     ("finetune", "data", "num_labels = 100", "num_labels = 100 exceeds the 27 regular tokens"),
+    ("prune", "distill", "lambda_kd = 0", "lambda_kd = 0 leaves the teacher unused; set kd = false"),
 ])
 def test_out_of_range_config_value_is_one_line_error(command, section, line, message, tmp_path,
                                                      capsys):
-    cfg = TEACHER_CFG if command == "teacher-prep" else TRANSFER_CFG
+    cfg = {"teacher-prep": TEACHER_CFG, "prune": PRUNE_CFG}.get(command, TRANSFER_CFG)
     path = tmp_path / "bad.cfg"
     path.write_text(f"{cfg}\n[{section}]\n{line}\n")
     # an untrained start checkpoint with SMALL_MODEL's encoder
     model = build_model(ModelConfig(num_layers=2, hidden=16, heads=2, ffn_dim=32, vocab=32,
                                     max_seq=16), seed=0)
     save_checkpoint(checkpoint_from_model(model, "student-prune"), tmp_path / "start.ckpt")
-    start = ["--ckpt", str(tmp_path / "start.ckpt")] if command == "finetune" else []
+    flag = {"prune": "--teacher", "finetune": "--ckpt"}.get(command)
+    start = [flag, str(tmp_path / "start.ckpt")] if flag else []
     out = tmp_path / "x.ckpt"
     rc = main([command, "--config", str(path), *start, "--out", str(out)])
     assert rc == 1
@@ -268,7 +271,7 @@ def test_every_typed_error_is_a_sparsekit_error():
 # [run] seq_len below 2 leaves no room for the two context tokens.
 @pytest.mark.parametrize("command, value", [("teacher-prep", 0), ("finetune", 1)])
 def test_short_seq_len_is_one_line_error(command, value, workdir, tmp_path, capsys):
-    cfg = TEACHER_CFG if command == "teacher-prep" else TRANSFER_CFG
+    cfg = {"teacher-prep": TEACHER_CFG, "prune": PRUNE_CFG}.get(command, TRANSFER_CFG)
     path = tmp_path / "short.cfg"
     path.write_text(cfg.replace("[run]\n", f"[run]\nseq_len = {value}\n"))
     start = ["--ckpt", str(workdir / "sparse.ckpt")] if command == "finetune" else []

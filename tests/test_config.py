@@ -44,6 +44,19 @@ def test_stage_pruning_contract():
             parse_config_text(f"[run]\nstage = {stage}\n[pruning]\ninterval = 5\n")
 
 
+def test_distillation_without_a_kd_weight_is_config_error():
+    """A stage that distils with lambda_kd = 0 would run a teacher forward per
+    step that no loss reads. Teacher-prep has no teacher, so its kd is moot."""
+    for stage in ("student-prune", "transfer", "qat", "finetune-prune-baseline"):
+        text = f"[run]\nstage = {stage}\n[distill]\nlambda_pt = 1\nlambda_kd = 0\n"
+        with pytest.raises(ConfigError, match="^lambda_kd = 0 leaves the teacher unused; "
+                                              "set kd = false$"):
+            parse_config_text(text)
+        assert not parse_config_text(text + "[run]\nkd = false\n").kd_enabled
+    assert parse_config_text("[run]\nstage = teacher-prep\n[distill]\nlambda_pt = 1\n"
+                             "lambda_kd = 0\n").kd_enabled
+
+
 def test_lr_schedule_wiring():
     sp = default_config("student-prune")
     sched = sp.lr_schedule()

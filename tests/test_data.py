@@ -5,7 +5,7 @@ from sparsekit.data import (CLS, MASK, NUM_RESERVED, PAD, SEP,
                             _rng, build_synthetic_corpus, make_mlm_batch,
                             make_task_dataset, task_minibatch,
                             task_minibatch_indices)
-from sparsekit.tensor import IGNORE_INDEX, ContractError
+from sparsekit.tensor import ContractError
 
 
 def test_corpus_split_and_shapes():
@@ -110,27 +110,31 @@ def corpus():
 def test_mlm_batch_layout(corpus):
     b = make_mlm_batch(corpus, seed=0, batch=8, seq_len=16)
     assert b.input_ids.shape == (8, 16)
-    assert b.labels.shape == (8, 16)
     assert b.attention_mask.shape == (8, 16)
+    assert b.positions.ndim == 1 and b.targets.shape == b.positions.shape
+    # flat indices in row-major order, each scored once
+    assert (np.diff(b.positions) > 0).all()
+    # targets are the regular ids the masking replaced or kept
+    assert (b.targets >= NUM_RESERVED).all() and (b.targets < 32).all()
     for i in range(8):
         n = int(b.attention_mask[i].sum())
         assert b.input_ids[i, 0] == CLS
         assert b.input_ids[i, n - 1] == SEP
         assert (b.input_ids[i, n:] == PAD).all()
-        # labels only on attended, non-special positions
-        labelled = np.flatnonzero(b.labels[i] != IGNORE_INDEX)
-        assert all(0 < j < n - 1 for j in labelled)
+        # targets only on attended, non-special positions
+        masked = b.positions[b.positions // 16 == i] % 16
+        assert all(0 < j < n - 1 for j in masked)
 
 
 def test_mlm_masking_rates(corpus):
     total, masked, kept_as_mask, kept_same = 0, 0, 0, 0
     for s in range(40):
         b = make_mlm_batch(corpus, seed=s, batch=16, seq_len=24, short_prob=0.0)
-        body = b.labels != IGNORE_INDEX
+        masked_ids = b.input_ids.reshape(-1)[b.positions]
         total += int((b.attention_mask.sum(axis=1) - 2).sum())
-        masked += int(body.sum())
-        kept_as_mask += int(((b.input_ids == MASK) & body).sum())
-        kept_same += int(((b.input_ids == b.labels) & body).sum())
+        masked += b.positions.size
+        kept_as_mask += int((masked_ids == MASK).sum())
+        kept_same += int((masked_ids == b.targets).sum())
     assert masked / total == pytest.approx(0.15, abs=0.01)
     assert kept_as_mask / masked == pytest.approx(0.80, abs=0.03)
     assert kept_same / masked == pytest.approx(0.10, abs=0.03)
@@ -149,7 +153,8 @@ def test_mlm_deterministic(corpus):
     a = make_mlm_batch(corpus, seed=5, batch=4, seq_len=16)
     b = make_mlm_batch(corpus, seed=5, batch=4, seq_len=16)
     np.testing.assert_array_equal(a.input_ids, b.input_ids)
-    np.testing.assert_array_equal(a.labels, b.labels)
+    np.testing.assert_array_equal(a.positions, b.positions)
+    np.testing.assert_array_equal(a.targets, b.targets)
 
 
 def test_task_dataset_balance_and_split():

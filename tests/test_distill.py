@@ -103,6 +103,9 @@ def test_kd_bad_temperature(temperature):
 def test_kd_shape_mismatch():
     with pytest.raises(ShapeError):
         kd_loss(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), 1.0)
+    # logits are (rows, classes)
+    with pytest.raises(ShapeError):
+        kd_loss(Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros((2, 2, 3))), 1.0)
 
 
 def test_combined_loss_examples():

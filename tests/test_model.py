@@ -23,12 +23,10 @@ def small_config(**kw):
 def mlm_batch(seed=0, batch=4, seq=8, vocab=100, n_masked=6):
     rng = np.random.Generator(np.random.PCG64(seed))
     ids = rng.integers(5, vocab, size=(batch, seq))
-    labels = np.full((batch, seq), -1, dtype=np.int64)
-    flat = rng.choice(batch * seq, size=n_masked, replace=False)
-    for f in flat:
-        labels[f // seq, f % seq] = ids[f // seq, f % seq]
-        ids[f // seq, f % seq] = 1
-    return MlmBatch(ids, labels, np.ones((batch, seq), dtype=np.int64))
+    positions = np.sort(rng.choice(batch * seq, size=n_masked, replace=False))
+    targets = ids.reshape(-1)[positions]
+    ids.reshape(-1)[positions] = 1
+    return MlmBatch(ids, positions, targets, np.ones((batch, seq), dtype=np.int64))
 
 
 def test_forward_smoke_finite():
@@ -102,15 +100,18 @@ def test_logits_alone_build_no_cross_entropy(monkeypatch):
     fw = model.forward_mlm(batch)
     assert fw.loss is fw.loss and len(calls) == 1
     assert fw.loss.values.tobytes() == ce(fw.logits, fw.targets).values.tobytes()
-    assert (fw.targets == batch.labels[batch.labels != -1]).all()
+    assert fw.targets is batch.targets
 
 
 def test_mlm_zero_masked_degenerate():
+    """With nothing masked the loss is +0.0 and reaches no parameter."""
     model = build_model(small_config(), seed=0)
     batch = mlm_batch(n_masked=0)
     fw = model.forward_mlm(batch)
-    assert float(fw.loss.values) == 0.0
-    assert fw.loss.degenerate
+    assert fw.logits.shape == (0, 100)
+    assert fw.loss.values.tobytes() == np.float32(0.0).tobytes()
+    T.backward(fw.loss)
+    assert all(p.grad is None or not p.grad.any() for p in model.parameters.values())
 
 
 @pytest.mark.parametrize("num_layers", [0, 1, 2])
@@ -120,7 +121,7 @@ def test_mlm_logits_are_the_masked_rows_of_a_full_forward(num_layers):
     last layer to restrict, and the rows are taken from the embeddings."""
     model = astype(build_model(small_config(num_layers=num_layers), seed=4), np.float64)
     batch = mlm_batch(seed=5, n_masked=9)
-    rows = np.flatnonzero(batch.labels.reshape(-1) != -1)
+    rows = batch.positions
     full = T.linear(model.encode(batch.input_ids, batch.attention_mask),
                     model.parameters["mlm_head.weight"], model.parameters["mlm_head.bias"])
     want = full.values.reshape(-1, 100)[rows]

@@ -158,7 +158,6 @@ def test_qat_exports_q8(qat_ckpt):
         rec = qat_ckpt.tensors[name]
         assert rec.storage == Q8
         assert rec.bitmap is not None  # sparse tensors keep their bitmap
-        assert rec.zero_point == 0
     assert qat_ckpt.tensors["embeddings.token"].storage != Q8
 
 
@@ -271,6 +270,35 @@ def test_no_grad_teacher_gets_no_gradient():
 
 # -- the MLM step at the masked rows against the full-sequence oracle --------
 
+def _label_grid(batch):
+    """The batch's targets at their flat positions of the batch x seq grid,
+    and -1 at every position that no loss scores."""
+    flat = np.full(batch.input_ids.size, -1, dtype=np.int64)
+    flat[batch.positions] = batch.targets
+    return flat
+
+
+def _row_weighted_cross_entropy(logits, labels):
+    """cross_entropy_with_targets as it was when forward_mlm returned every
+    position's logits: the mean over the rows whose label is not -1."""
+    sel = labels != -1
+    count = int(sel.sum())
+    logp = T._log_softmax(logits.values)
+    if count == 0:
+        return T._node(np.zeros((), dtype=logits.dtype), (logits,),
+                       lambda g: (np.zeros_like(logits.values),))
+    rows, safe = np.arange(labels.shape[0]), np.where(sel, labels, 0)
+    loss = -(logp[rows, safe] * sel).sum() / count
+
+    def back(g):
+        grad = np.exp(logp)
+        grad[rows, safe] -= 1.0
+        grad *= (sel / count)[:, None]
+        return (g * grad,)
+
+    return T._node(np.asarray(loss, dtype=logits.dtype), (logits,), back)
+
+
 def _row_weighted_kd_loss(student_logits, teacher_logits, temperature, row_weights):
     """kd_loss as it was when forward_mlm returned every position's logits:
     the mean over the rows that row_weights selects."""
@@ -278,10 +306,8 @@ def _row_weighted_kd_loss(student_logits, teacher_logits, temperature, row_weigh
     w = row_weights.astype(zs.dtype)
     count = w.sum()
     if count == 0:
-        out = T._node(np.zeros((), dtype=zs.dtype), (student_logits,),
-                      lambda g: (np.zeros_like(zs),))
-        out.degenerate = True
-        return out
+        return T._node(np.zeros((), dtype=zs.dtype), (student_logits,),
+                       lambda g: (np.zeros_like(zs),))
     t = T._softmax(zt / temperature)
     log_s = T._log_softmax(zs / temperature)
     loss = (-(t * log_s).sum(axis=-1) * w).sum() / count
@@ -298,15 +324,16 @@ def _full_sequence_step_loss(student, teacher, batch, distill):
         hidden = model.encode(batch.input_ids, batch.attention_mask)
         out = T.linear(hidden, model.parameters["mlm_head.weight"],
                        model.parameters["mlm_head.bias"])
-        return T.reshape(out, (batch.labels.size, model.config.vocab))
+        return T.reshape(out, (batch.input_ids.size, model.config.vocab))
 
+    labels = _label_grid(batch)
     z = logits(student)
-    l_pt = T.cross_entropy_with_targets(z, batch.labels.reshape(-1))
+    l_pt = _row_weighted_cross_entropy(z, labels)
     if teacher is None:
         return l_pt, z
     with T.no_grad():
         zt = logits(teacher)
-    l_kd = _row_weighted_kd_loss(z, zt, distill.temperature, batch.labels.reshape(-1) != -1)
+    l_kd = _row_weighted_kd_loss(z, zt, distill.temperature, labels != -1)
     return combined_loss(l_pt, l_kd, distill), z
 
 
@@ -320,6 +347,22 @@ def test_kd_loss_bytes_equal_row_weighted_over_all_rows(rows, classes, dtype):
     g = np.asarray(rng.standard_normal(), dtype=dtype)
     got = kd_loss(T.Tensor(zs), T.Tensor(zt), 2.0)
     want = _row_weighted_kd_loss(T.Tensor(zs), T.Tensor(zt), 2.0, np.ones(rows, dtype=bool))
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got._backward(g)[0].tobytes() == want._backward(g)[0].tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows, classes", [(16, 3), (34, 64), (1, 5)])
+def test_cross_entropy_bytes_equal_row_weighted_over_all_rows(rows, classes, dtype):
+    """Over all rows (every task stage's loss), cross_entropy_with_targets
+    keeps the bytes the row-weighted form gave with no row ignored, loss
+    and gradient."""
+    rng = np.random.Generator(np.random.PCG64(44))
+    z = (rng.standard_normal((rows, classes)) * 3).astype(dtype)
+    targets = rng.integers(0, classes, rows)
+    g = np.asarray(rng.standard_normal(), dtype=dtype)
+    got = T.cross_entropy_with_targets(T.Tensor(z), targets)
+    want = _row_weighted_cross_entropy(T.Tensor(z), targets)
     assert got.values.tobytes() == want.values.tobytes()
     assert got._backward(g)[0].tobytes() == want._backward(g)[0].tobytes()
 
@@ -339,7 +382,7 @@ MLM_SHAPES = {"desk": {}, "wide": {"hidden": 128, "ffn_dim": 512, "heads": 4}}
 def _float64_mlm_case(shape, n_masked):
     """Float64 student and teacher at a default prune config's shape, and a
     batch of its size; with n_masked, only the first n_masked masked
-    positions keep their labels."""
+    positions are scored."""
     cfg = default_config("student-prune", seed=1)
     model_cfg = replace(cfg.model, head_kind="mlm", **MLM_SHAPES[shape])
     student = astype(build_model(model_cfg, seed=31), np.float64)
@@ -347,8 +390,8 @@ def _float64_mlm_case(shape, n_masked):
     corpus = build_synthetic_corpus(1, 64, vocab_size=model_cfg.vocab)
     batch = make_mlm_batch(corpus, 5, cfg.batch_size, cfg.seq_len)
     if n_masked is not None:
-        flat = batch.labels.reshape(-1)
-        flat[np.flatnonzero(flat != -1)[n_masked:]] = -1
+        batch = replace(batch, positions=batch.positions[:n_masked],
+                        targets=batch.targets[:n_masked])
     return student, teacher, batch, cfg.distill
 
 
@@ -362,7 +405,7 @@ def test_masked_rows_step_agrees_with_full_sequence_oracle(shape, kd, n_masked):
     computation, also for a batch with one masked position or none."""
     student, teacher, batch, distill = _float64_mlm_case(shape, n_masked)
     teacher = teacher if kd else None
-    rows = np.flatnonzero(batch.labels.reshape(-1) != -1)
+    rows = batch.positions
     results = []
     for step in (lambda: _masked_rows_step(student, teacher, batch, distill)[0],
                  lambda: _full_sequence_step_loss(student, teacher, batch, distill)[0]):
@@ -392,7 +435,9 @@ def test_masked_rows_step_agrees_with_full_sequence_oracle(shape, kd, n_masked):
 
 
 @pytest.mark.filterwarnings("error")
-def test_mlm_step_without_masked_positions_is_degenerate():
+def test_mlm_step_without_masked_positions_is_zero():
+    """With nothing masked both losses and the step loss are +0.0, and no
+    parameter gets a non-zero gradient."""
     student, teacher, batch, distill = _float64_mlm_case("desk", 0)
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         fw = student.forward_mlm(batch)
@@ -402,8 +447,9 @@ def test_mlm_step_without_masked_positions_is_degenerate():
         loss, l_pt, l_kd_value = _masked_rows_step(student, teacher, batch, distill)
         T.backward(loss)
     assert fw.logits.shape == (0, student.config.vocab)
-    assert fw.loss.degenerate and l_kd.degenerate
-    assert (l_pt, l_kd_value, float(loss.values)) == (0.0, 0.0, 0.0)
+    zero = np.float64(0.0).tobytes()
+    assert fw.loss.values.tobytes() == l_kd.values.tobytes() == loss.values.tobytes() == zero
+    assert (l_pt, l_kd_value) == (0.0, 0.0)
     assert all(p.grad is None or not p.grad.any() for p in student.parameters.values())
 
 

@@ -121,7 +121,7 @@ def _random_param(rng, shape):
     lambda w, rng: mean(T.gelu(w)),
     lambda w, rng: mean(T.mul(T.softmax_last_axis(w), rng.standard_normal(w.shape))),
     lambda w, rng: mean(T.mul(T.layer_norm_last_axis(w), rng.standard_normal(w.shape))),
-    lambda w, rng: T.cross_entropy_with_targets(w, np.array([0, 2, -1])),
+    lambda w, rng: T.cross_entropy_with_targets(w, np.array([0, 2, 3])),
     lambda w, rng: T.scale(mean(w), 3.7),
 ])
 def test_finite_diff_per_primitive(build):
@@ -581,13 +581,21 @@ def test_evaluation_deterministic():
     assert run() == run()
 
 
-def test_cross_entropy_degenerate_all_ignored():
-    logits = Tensor(np.zeros((2, 3), dtype=np.float32), requires_grad=True)
-    loss = T.cross_entropy_with_targets(logits, np.array([-1, -1]))
-    assert float(loss.values) == 0.0
-    assert loss.degenerate
+def test_cross_entropy_with_no_rows_is_positive_zero():
+    logits = Tensor(np.zeros((0, 3), dtype=np.float32), requires_grad=True)
+    loss = T.cross_entropy_with_targets(logits, np.zeros(0, dtype=np.int64))
+    assert loss.values.tobytes() == np.float32(0.0).tobytes()
     backward(loss)
-    np.testing.assert_array_equal(logits.grad, np.zeros((2, 3)))
+    assert logits.grad.shape == (0, 3)
+
+
+# -2 scored class n - 2 through numpy's negative indexing, 3 ended in an IndexError.
+@pytest.mark.parametrize("bad", [-2, -1, 3])
+def test_cross_entropy_target_out_of_range_is_shape_error(bad):
+    logits = Tensor(np.array([[0.0, 1.0, 5.0]]))
+    with pytest.raises(ShapeError, match="target out of range for 3 classes"):
+        T.cross_entropy_with_targets(logits, np.array([bad]))
+
 
 
 def test_no_grad_results_are_plain_leaves():

@@ -7,7 +7,7 @@ from .model import ConfigError, DataError, EncoderModel, ModelConfig, build_mode
 from .pruning import (SparsitySchedule, lock_pattern, prune_step, sparsity_report,
                       target_sparsity)
 from .quant import QuantParams, activation_qparams, fake_quant, weight_qparams
-from .schedule import LrSchedule, RewindWindow, lr_base, lr_rewound
+from .schedule import lr_base, lr_rewound
 from .tensor import SparsekitError, Tensor, backward, seeded_init
 
 __version__ = "0.1.0"

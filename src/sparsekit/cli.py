@@ -7,7 +7,6 @@ from dataclasses import replace
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import load_config
-from .model import ConfigError
 from .pipeline import (run_finetune_prune_baseline, run_qat, run_student_prune,
                        run_teacher_prep, run_transfer)
 from .report import compression_report, payload_size_ratio, schedule_export
@@ -87,10 +86,7 @@ def _dispatch(args) -> int:
             other = load_checkpoint(args.compare)
             print(f"payload size ratio (first/second): {payload_size_ratio(ckpt, other)!r}")
     elif args.command == "schedule-export":
-        cfg = load_config(args.config)
-        if cfg.pruning is None:
-            raise ConfigError("schedule-export needs a [pruning] section")
-        schedule_export(cfg.lr_schedule(), cfg.pruning, args.out)
+        schedule_export(load_config(args.config), args.out)
         print(f"wrote {args.out}")
     return 0
 

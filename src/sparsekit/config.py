@@ -13,7 +13,6 @@ from typing import Optional
 from .distill import DistillConfig
 from .model import ConfigError, ModelConfig
 from .pruning import SparsitySchedule
-from .schedule import LrSchedule, RewindWindow
 
 STAGES = ("teacher-prep", "student-prune", "transfer", "qat", "finetune-prune-baseline")
 
@@ -61,6 +60,9 @@ class StageConfig:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if not 0 <= self.weight_decay < math.inf:
             raise ConfigError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
+        if not 0 <= self.warmup_steps <= self.steps:
+            raise ConfigError(f"warmup_steps must lie in [0, {self.steps}], "
+                              f"got {self.warmup_steps}")
         # teacher-prep has no teacher; every other stage would run one that no loss reads
         if self.kd_enabled and self.stage != "teacher-prep" and self.distill.lambda_kd == 0:
             raise ConfigError("lambda_kd = 0 leaves the teacher unused; set kd = false")
@@ -68,13 +70,6 @@ class StageConfig:
         if self.pruning is not None and self.pruning.end_step >= self.steps:
             raise ConfigError(f"pruning end_step {self.pruning.end_step} must be below "
                               f"steps {self.steps}")
-
-    def lr_schedule(self) -> LrSchedule:
-        rewind = None
-        if self.lrr_enabled and self.pruning is not None:
-            rewind = RewindWindow(self.pruning.start_step, self.pruning.interval,
-                                  self.pruning.end_step)
-        return LrSchedule(self.lr, self.warmup_steps, self.steps, rewind)
 
     def digest(self) -> bytes:
         return hashlib.sha256(repr(asdict(self)).encode("utf-8")).digest()

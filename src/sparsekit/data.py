@@ -88,6 +88,8 @@ class MlmBatch:
 def make_mlm_batch(corpus: Corpus, seed: int, batch: int, seq_len: int,
                    short_prob: float = 0.1, split: str = "train") -> MlmBatch:
     """BERT-recipe masking: 15% of non-special positions, 80/10/10 replacement."""
+    if split not in ("train", "validation"):
+        raise ContractError(f"split must be 'train' or 'validation', got {split!r}")
     pool = corpus.train if split == "train" else corpus.validation
     rng = _rng("mlm", seed)
     regular = _regular_ids(corpus.vocab_size)

@@ -145,11 +145,10 @@ def _train(cfg: StageConfig, model: EncoderModel,
     Without one, `masks` (None, or a locked zero pattern) holds on every step.
     """
     sp = cfg.pruning
-    sched = cfg.lr_schedule()
     opt = Adam(model.parameters, weight_decay=cfg.weight_decay)
     metrics = RunMetrics()
     for t in range(cfg.steps):
-        lr = lr_rewound(sched, t)  # the plain schedule when there is no rewind window
+        lr = lr_rewound(cfg, t)  # the plain schedule without a pruning window or with lrr off
         # the freeze step always prunes, so the frozen pattern meets the target
         if sp is not None and sp.start_step <= t <= sp.end_step \
                 and ((t - sp.start_step) % sp.interval == 0 or t == sp.end_step):

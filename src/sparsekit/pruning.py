@@ -21,6 +21,8 @@ class SparsitySchedule:
     def __post_init__(self):
         if not (0.0 <= self.initial_sparsity < self.final_sparsity <= 1.0):
             raise ContractError("require 0 <= initial < final <= 1 sparsity")
+        if self.start_step < 0:
+            raise ContractError(f"pruning start_step must be >= 0, got {self.start_step}")
         if not (self.start_step <= self.policy_end_step <= self.end_step):
             raise ContractError("require start <= policy_end <= end step")
         if self.interval < 1:

@@ -108,6 +108,19 @@ class QatContext:
 
     @classmethod
     def from_ranges(cls, weight_names, ranges: Dict[str, tuple]) -> "QatContext":
+        """A frozen context over saved ranges. Each `<prefix>.weight` in
+        `weight_names` needs a range for `<prefix>.out`, or that linear's
+        output would run unquantized. Every range needs two finite bounds
+        lo <= hi, since `activation_qparams` reads a NaN bound as 0."""
         ctx = cls(weight_names, frozen=True)
-        ctx.ranges = {name: (lo, hi) for name, (lo, hi) in ranges.items()}
+        for name in sorted(ctx.weight_names):
+            key = name.removesuffix(".weight") + ".out"
+            if key not in ranges:
+                raise ContractError(f"no activation range for {key!r}")
+        for key, bounds in ranges.items():
+            # written so that NaN fails
+            if len(bounds) != 2 or not -math.inf < bounds[0] <= bounds[1] < math.inf:
+                raise ContractError(f"activation range {key!r} must be two finite bounds "
+                                    f"lo <= hi, got {list(bounds)}")
+            ctx.ranges[key] = (bounds[0], bounds[1])
         return ctx

@@ -5,9 +5,10 @@ from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
 from .checkpoint import Checkpoint, FormatError, TensorRecord
-from .model import prunable_parameter_names
-from .pruning import SparsitySchedule, target_sparsity
-from .schedule import LrSchedule, lr_base, lr_rewound
+from .config import StageConfig
+from .model import ConfigError, prunable_parameter_names
+from .pruning import target_sparsity
+from .schedule import lr_base, lr_rewound
 from .tensor import ContractError
 
 
@@ -78,10 +79,12 @@ def payload_size_ratio(a: Checkpoint, b: Checkpoint) -> float:
     return pa / pb
 
 
-def schedule_export(lr_sched: LrSchedule, sp_sched: SparsitySchedule, path) -> None:
-    """CSV of (t, lr_base, lr_rewound, target_sparsity) for t in [0, total]."""
+def schedule_export(cfg: StageConfig, path) -> None:
+    """CSV of (t, lr_base, lr_rewound, target_sparsity) for t in [0, steps]."""
+    if cfg.pruning is None:
+        raise ConfigError("schedule-export needs a [pruning] section")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,lr_base,lr_rewound,target_sparsity\n")
-        for t in range(lr_sched.total_steps + 1):
-            fh.write(f"{t},{lr_base(lr_sched, t)!r},{lr_rewound(lr_sched, t)!r},"
-                     f"{target_sparsity(sp_sched, t)!r}\n")
+        for t in range(cfg.steps + 1):
+            fh.write(f"{t},{lr_base(cfg, t)!r},{lr_rewound(cfg, t)!r},"
+                     f"{target_sparsity(cfg.pruning, t)!r}\n")

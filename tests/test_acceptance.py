@@ -24,7 +24,7 @@ from sparsekit.pipeline import (run_qat, run_student_prune, run_teacher_prep,
 from sparsekit.pruning import SparsitySchedule, prune_step, target_sparsity
 from sparsekit.quant import activation_qparams, dequantize, fake_quant, weight_qparams
 from sparsekit.report import compression_report, payload_size_ratio, schedule_export
-from sparsekit.schedule import LrSchedule, RewindWindow, lr_base, lr_rewound
+from sparsekit.schedule import lr_base, lr_rewound
 from sparsekit.tensor import Tensor
 
 from oracles import astype, finite_diff_check, mean, soft_probs, sub
@@ -77,15 +77,16 @@ def test_criterion_01_schedule_fidelity():
 
 @criterion(2, "LRR semantics")
 def test_criterion_02_lrr_semantics(tmp_path):
-    sched = LrSchedule(base_lr=1.0, warmup_steps=10, total_steps=100,
-                       rewind=RewindWindow(start_step=10, interval=10, end_step=50))
+    # the rewind window is the pruning window: steps 10-50, interval 10
+    cfg = default_config("student-prune", lr=1.0, warmup_steps=10, steps=100,
+                         pruning=SparsitySchedule(0.0, 0.9, 10, 40, 50, 10))
     for k in range(5):
-        assert lr_rewound(sched, 10 + k * 10) == lr_base(sched, 10)
+        assert lr_rewound(cfg, 10 + k * 10) == lr_base(cfg, 10)
     for t in range(51, 101):
-        assert lr_rewound(sched, t) == lr_base(sched, t)
+        assert lr_rewound(cfg, t) == lr_base(cfg, t)
 
     out = tmp_path / "sched.csv"
-    schedule_export(sched, SparsitySchedule(0.0, 0.9, 10, 40, 50, 10), out)
+    schedule_export(cfg, out)
     lines = out.read_text().strip().splitlines()[1:]
     rewound = [float(line.split(",")[2]) for line in lines]
     # sawtooth: strictly decreasing inside each interval, jumping back up

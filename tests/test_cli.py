@@ -242,6 +242,11 @@ def test_out_of_range_run_value_is_one_line_error(key, tmp_path, capsys):
      "temperature must be positive and finite, got nan"),
     ("finetune", "data", "num_labels = 100", "num_labels = 100 exceeds the 27 regular tokens"),
     ("prune", "distill", "lambda_kd = 0", "lambda_kd = 0 leaves the teacher unused; set kd = false"),
+    # schedule values are checked when the config is built, with rewinding on or off
+    ("teacher-prep", "schedule", "warmup_steps = 500", "warmup_steps must lie in [0, 30], got 500"),
+    ("prune", "pruning", "start_step = -1", "pruning start_step must be >= 0, got -1"),
+    ("prune", "pruning", "start_step = -1\n[run]\nlrr = false",
+     "pruning start_step must be >= 0, got -1"),
 ])
 def test_out_of_range_config_value_is_one_line_error(command, section, line, message, tmp_path,
                                                      capsys):
@@ -258,6 +263,19 @@ def test_out_of_range_config_value_is_one_line_error(command, section, line, mes
     rc = main([command, "--config", str(path), *start, "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_bad_schedule_value_fails_before_checkpoint_read(tmp_path, capsys):
+    """The config's error, not the missing teacher file's: the value is
+    checked when the config is parsed, before any checkpoint is opened."""
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{PRUNE_CFG}\n[schedule]\nwarmup_steps = 500\n")
+    out = tmp_path / "x.ckpt"
+    rc = main(["prune", "--config", str(path), "--teacher", str(tmp_path / "missing.ckpt"),
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: warmup_steps must lie in [0, 40], got 500\n"
     assert not out.exists()
 
 

@@ -5,7 +5,7 @@ import pytest
 from sparsekit.config import (StageConfig, default_config, load_config,
                               parse_config_text)
 from sparsekit.model import ConfigError
-from sparsekit.schedule import lr_rewound
+from sparsekit.schedule import lr_base, lr_rewound
 
 
 def test_defaults_per_stage():
@@ -58,15 +58,17 @@ def test_distillation_without_a_kd_weight_is_config_error():
 
 
 def test_lr_schedule_wiring():
+    """The rewind window is the pruning window, steps 0-80 at interval 1."""
     sp = default_config("student-prune")
-    sched = sp.lr_schedule()
-    assert sched.rewind is not None
-    assert sched.rewind.start_step == 0
-    assert sched.rewind.end_step == 80
+    for t in range(81):
+        assert lr_rewound(sp, t) == lr_base(sp, 0)
+    for t in range(81, 101):
+        assert lr_rewound(sp, t) == lr_base(sp, t)
     # with rewinding off the sawtooth disappears
-    plain = default_config("student-prune", lrr_enabled=False).lr_schedule()
-    assert plain.rewind is None
-    assert lr_rewound(plain, 30) == pytest.approx(plain.base_lr * (100 - 30) / (100 - 1))
+    plain = default_config("student-prune", lrr_enabled=False)
+    for t in range(101):
+        assert lr_rewound(plain, t) == lr_base(plain, t)
+    assert lr_rewound(plain, 30) == pytest.approx(plain.lr * (100 - 30) / (100 - 1))
 
 
 def test_digest_sensitive_to_fields():

@@ -157,6 +157,15 @@ def test_mlm_deterministic(corpus):
     np.testing.assert_array_equal(a.targets, b.targets)
 
 
+@pytest.mark.parametrize("split", ["Train", "val", ""])
+def test_mlm_unknown_split_is_contract_error(corpus, split):
+    """Only "train" and "validation" name a split; a misspelt one is an
+    error, not a silent validation batch."""
+    with pytest.raises(ContractError, match=f"split must be 'train' or 'validation', "
+                                            f"got {split!r}"):
+        make_mlm_batch(corpus, seed=0, batch=4, seq_len=16, split=split)
+
+
 def test_task_dataset_balance_and_split():
     ds = make_task_dataset(seed=0, num_examples=200, num_labels=4, vocab_size=32, seq_len=12)
     assert ds.train.input_ids.shape == (190, 12)

@@ -143,6 +143,31 @@ def test_qat_frozen_unknown_activation_passthrough():
     assert ctx.ranges == {"known.out": (0.0, 1.0)}
 
 
+_WEIGHTS = ("layer.0.attn_out.weight", "pooler.weight")
+_RANGES = {"layer.0.attn_out.out": (-1.5, 2.0), "pooler.out": (-0.5, 0.5)}
+
+
+def test_from_ranges_missing_activation_is_contract_error():
+    """A quantized weight whose output has no saved range would leave that
+    linear's output unquantized at evaluation."""
+    assert QatContext.from_ranges(_WEIGHTS, _RANGES).ranges == _RANGES
+    partial = {k: v for k, v in _RANGES.items() if k != "layer.0.attn_out.out"}
+    with pytest.raises(ContractError,
+                       match=r"^no activation range for 'layer\.0\.attn_out\.out'$"):
+        QatContext.from_ranges(_WEIGHTS, partial)
+
+
+@pytest.mark.parametrize("bounds", [(np.nan, 1.0), (-1.0, np.nan), (-np.inf, 1.0),
+                                    (0.0, np.inf), (2.0, 1.0), (0.0,)])
+def test_from_ranges_bad_bounds_are_contract_error(bounds):
+    """activation_qparams would read a NaN bound as 0, since min(0.0, nan)
+    is 0.0; a range needs two finite bounds lo <= hi."""
+    ranges = {**_RANGES, "pooler.out": bounds}
+    with pytest.raises(ContractError, match=r"^activation range 'pooler\.out' must be two "
+                                            r"finite bounds lo <= hi"):
+        QatContext.from_ranges(_WEIGHTS, ranges)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("bad_first", [True, False], ids=["bad-first", "bad-after-data"])
 def test_observer_rejects_non_finite_batch(bad, bad_first):

@@ -3,11 +3,11 @@ import pytest
 
 from sparsekit.checkpoint import (Checkpoint, checkpoint_from_model,
                                   dense_record, q8_record, sparse_record)
-from sparsekit.model import ModelConfig, build_model, prunable_parameter_names
+from sparsekit.config import default_config
+from sparsekit.model import ConfigError, ModelConfig, build_model, prunable_parameter_names
 from sparsekit.pruning import SparsitySchedule
 from sparsekit.report import (compression_report, payload_size_ratio,
                               schedule_export)
-from sparsekit.schedule import LrSchedule, RewindWindow
 from sparsekit.tensor import ContractError
 
 
@@ -82,10 +82,11 @@ def test_payload_size_ratio_against_fully_pruned_is_contract_error():
 
 
 def test_schedule_export_csv(tmp_path):
-    lr = LrSchedule(0.01, 1, 100, RewindWindow(0, 1, 80))
-    sp = SparsitySchedule(0.0, 0.9, 0, 50, 80, 1)
+    cfg = default_config("student-prune")
+    assert (cfg.lr, cfg.warmup_steps, cfg.steps) == (0.01, 1, 100)
+    assert cfg.lrr_enabled and cfg.pruning == SparsitySchedule(0.0, 0.9, 0, 50, 80, 1)
     out = tmp_path / "sched.csv"
-    schedule_export(lr, sp, out)
+    schedule_export(cfg, out)
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,lr_base,lr_rewound,target_sparsity"
     assert len(lines) == 102
@@ -95,3 +96,10 @@ def test_schedule_export_csv(tmp_path):
     # rewound column equals base outside the window
     row90 = lines[91].split(",")
     assert row90[1] == row90[2]
+
+
+def test_schedule_export_without_pruning_is_config_error(tmp_path):
+    out = tmp_path / "sched.csv"
+    with pytest.raises(ConfigError, match=r"^schedule-export needs a \[pruning\] section$"):
+        schedule_export(default_config("teacher-prep"), out)
+    assert not out.exists()

@@ -1,27 +1,41 @@
 import pytest
 
-from sparsekit.schedule import LrSchedule, RewindWindow, lr_base, lr_rewound
+from sparsekit.config import default_config
+from sparsekit.model import ConfigError
+from sparsekit.pruning import SparsitySchedule
+from sparsekit.schedule import lr_base, lr_rewound
 from sparsekit.tensor import ContractError
 
 
+def _plain(lr, warmup, steps=100):
+    """A stage with no pruning window: rewinding never applies."""
+    return default_config("teacher-prep", lr=lr, warmup_steps=warmup, steps=steps)
+
+
+def _windowed(lr, warmup, start, interval, end, steps=100):
+    """A pruning stage whose window [start, end] rewinds every interval."""
+    return default_config("student-prune", lr=lr, warmup_steps=warmup, steps=steps,
+                          pruning=SparsitySchedule(0.0, 0.9, start, end, end, interval))
+
+
 def test_warmup_start_is_zero():
-    s = LrSchedule(base_lr=1.0, warmup_steps=10, total_steps=100)
+    s = _plain(1.0, 10)
     assert lr_base(s, 0) == 0.0
 
 
 def test_warmup_end_is_base():
-    s = LrSchedule(base_lr=0.5, warmup_steps=10, total_steps=100)
+    s = _plain(0.5, 10)
     assert lr_base(s, 10) == 0.5
 
 
 def test_linear_decay():
-    s = LrSchedule(base_lr=1.0, warmup_steps=0, total_steps=100)
+    s = _plain(1.0, 0)
     assert lr_base(s, 25) == pytest.approx(0.75)
     assert lr_base(s, 100) == 0.0
 
 
 def test_lr_base_out_of_range():
-    s = LrSchedule(base_lr=1.0, warmup_steps=0, total_steps=100)
+    s = _plain(1.0, 0)
     with pytest.raises(ContractError):
         lr_base(s, 101)
     with pytest.raises(ContractError):
@@ -29,32 +43,32 @@ def test_lr_base_out_of_range():
 
 
 def test_rewound_sawtooth():
-    s = LrSchedule(1.0, 0, 100, RewindWindow(0, 10, 50))
+    s = _windowed(1.0, 0, 0, 10, 50)
     assert lr_rewound(s, 15) == pytest.approx(lr_base(s, 5))
     assert lr_rewound(s, 15) == pytest.approx(0.95)
 
 
 def test_rewound_passthrough_after_window():
-    s = LrSchedule(1.0, 0, 100, RewindWindow(0, 10, 50))
+    s = _windowed(1.0, 0, 0, 10, 50)
     assert lr_rewound(s, 60) == pytest.approx(0.40)
     for t in range(51, 101):
         assert lr_rewound(s, t) == lr_base(s, t)
 
 
 def test_rewind_points_equal_start_value():
-    s = LrSchedule(1.0, 0, 100, RewindWindow(0, 10, 50))
+    s = _windowed(1.0, 0, 0, 10, 50)
     for k in range(6):
         assert lr_rewound(s, k * 10) == lr_base(s, 0)
 
 
 def test_rewound_equals_base_without_rewind():
-    s = LrSchedule(1.0, 5, 100)
+    s = _plain(1.0, 5)
     for t in range(101):
         assert lr_rewound(s, t) == lr_base(s, t)
 
 
 def test_window_nonincreasing_and_bounded():
-    s = LrSchedule(1.0, 10, 100, RewindWindow(10, 10, 50))
+    s = _windowed(1.0, 10, 10, 10, 50)
     for start in range(10, 50, 10):
         window = [lr_rewound(s, t) for t in range(start, min(start + 10, 51))]
         assert all(b <= a for a, b in zip(window, window[1:]))
@@ -64,11 +78,16 @@ def test_window_nonincreasing_and_bounded():
 
 
 def test_schedule_invariants():
-    with pytest.raises(ContractError):
-        LrSchedule(0.0, 0, 100)
-    with pytest.raises(ContractError):
-        LrSchedule(1.0, 101, 100)
-    with pytest.raises(ContractError):
-        LrSchedule(1.0, 0, 100, RewindWindow(50, 10, 40))
-    with pytest.raises(ContractError):
-        LrSchedule(1.0, 0, 100, RewindWindow(0, 0, 50))
+    """Every value the schedules read is checked when the config is built."""
+    with pytest.raises(ConfigError, match="lr must be positive"):
+        _plain(0.0, 0)
+    with pytest.raises(ConfigError, match=r"warmup_steps must lie in \[0, 100\], got 101"):
+        _plain(1.0, 101)
+    with pytest.raises(ConfigError, match=r"warmup_steps must lie in \[0, 100\], got -1"):
+        _plain(1.0, -1)
+    with pytest.raises(ContractError, match="require start <= policy_end <= end step"):
+        _windowed(1.0, 0, 50, 10, 40)
+    with pytest.raises(ContractError, match="pruning interval must be >= 1"):
+        _windowed(1.0, 0, 0, 0, 50)
+    with pytest.raises(ContractError, match="pruning start_step must be >= 0, got -1"):
+        _windowed(1.0, 0, -1, 10, 50)

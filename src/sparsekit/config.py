@@ -24,6 +24,11 @@ class DataConfig:
     num_examples: int = 1000
     num_labels: int = 3
 
+    def __post_init__(self):
+        # numpy seeds its generators from non-negative integers only
+        if self.corpus_seed < 0:
+            raise ConfigError(f"corpus_seed must be >= 0, got {self.corpus_seed}")
+
 
 @dataclass(frozen=True)
 class StageConfig:
@@ -52,7 +57,8 @@ class StageConfig:
             raise ConfigError(f"{self.stage} takes no pruning section")
         if self.seq_len > self.model.max_seq:
             raise ConfigError("seq_len exceeds model max_seq")
-        for name, low in (("seq_len", 2), ("steps", 1), ("batch_size", 1), ("log_every", 1)):
+        for name, low in (("seq_len", 2), ("steps", 1), ("batch_size", 1), ("log_every", 1),
+                          ("seed", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         # written so that NaN fails both checks

@@ -57,7 +57,7 @@ class Adam:
           start, stop  its slice of the moment arrays
           spans        (parameter, start, stop) of each parameter within the run
           decayed      the spans that take weight decay
-          mask         the run's pruning masks, 1 outside masked tensors;
+          mask         the run's pruning masks, True outside masked tensors;
                        None when no tensor of the run is masked
         Rebuilt only when the set of parameters with a gradient or the mask
         dict changes. The dict is compared by identity and read when first
@@ -86,7 +86,7 @@ class Adam:
         self._runs_cache = [
             (start, start + spans[-1][2], spans, decayed,
              None if all(m is None for m in run_masks) else np.concatenate(
-                 [np.ones(b - a, dtype=np.float32) if m is None else m
+                 [np.ones(b - a, dtype=bool) if m is None else m
                   for (_, a, b), m in zip(spans, run_masks)]))
             for start, spans, decayed, run_masks in runs]
         self._runs_key = (live, masks)

@@ -5,6 +5,8 @@ function of (config, input checkpoints) given the seeds it carries.
 """
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -22,6 +24,7 @@ from .optim import Adam
 from .pruning import lock_pattern, prune_step, sparsity_report, target_sparsity
 from .quant import QatContext
 from .schedule import lr_rewound
+from .tensor import SparsekitError
 
 METRICS_HEADER = "step,lr,target_sparsity,actual_sparsity,loss_pt,loss_kd,loss_total"
 
@@ -115,6 +118,32 @@ class _TaskTeacher:
 
 # -- the training loop -----------------------------------------------------
 
+class DivergenceError(SparsekitError):
+    """A training step, or the validation forward after the last step, made
+    a NaN or infinite value."""
+
+
+@contextlib.contextmanager
+def _divergence_is_an_error(cfg: StageConfig, where: str):
+    """numpy's overflow, invalid-value and divide-by-zero events in the block
+    raise a DivergenceError that names the stage and `where`, instead of
+    printing a warning and running on."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise DivergenceError(f"{cfg.stage} diverged in {where}: {exc}") from None
+
+
+def _finite(cfg: StageConfig, loss: float, where: str) -> float:
+    """`loss`; a NaN or infinite one is a DivergenceError. A non-finite input
+    weight carries into the loss without a numpy event, so this check does
+    not repeat `_divergence_is_an_error`'s."""
+    if not math.isfinite(loss):
+        raise DivergenceError(f"{cfg.stage} diverged in {where}: loss is {loss}")
+    return loss
+
+
 def _expect_stage(cfg: StageConfig, stage: str) -> None:
     if cfg.stage != stage:
         raise ConfigError(f"expected {stage} config, got {cfg.stage}")
@@ -143,25 +172,40 @@ def _train(cfg: StageConfig, model: EncoderModel,
     A stage prunes exactly when its config has a pruning section: gradual
     magnitude pruning on that schedule, under the rewound learning rate.
     Without one, `masks` (None, or a locked zero pattern) holds on every step.
+
+    A step's tape lives from its forward to its backward: when
+    `forward(t + 1)` runs, only the parameters, the masks, Adam's moments
+    and step t's gradients remain of step t. A step that makes a NaN or
+    infinite value is a DivergenceError.
     """
     sp = cfg.pruning
     opt = Adam(model.parameters, weight_decay=cfg.weight_decay)
     metrics = RunMetrics()
     for t in range(cfg.steps):
-        lr = lr_rewound(cfg, t)  # the plain schedule without a pruning window or with lrr off
-        # the freeze step always prunes, so the frozen pattern meets the target
-        if sp is not None and sp.start_step <= t <= sp.end_step \
-                and ((t - sp.start_step) % sp.interval == 0 or t == sp.end_step):
-            masks = prune_step(model, masks, target_sparsity(sp, t))
-        loss, l_pt, l_kd = _step_loss(*forward(t), cfg.distill)
-        opt.zero_grad()
-        T.backward(loss)
-        # pattern frozen after the last mask recomputation; regrowth before it
-        opt.step(lr, masks if sp is None or t >= sp.end_step else None)
-        if t % cfg.log_every == 0:
-            metrics.rows.append((t, lr, 0.0 if sp is None else target_sparsity(sp, t),
-                                 sparsity_report(model).aggregate, l_pt, l_kd, float(loss.values)))
-    return metrics, float(loss.values)
+        with _divergence_is_an_error(cfg, f"step {t}"):
+            lr = lr_rewound(cfg, t)  # the plain schedule without a pruning window or with lrr off
+            # the freeze step always prunes, so the frozen pattern meets the target
+            if sp is not None and sp.start_step <= t <= sp.end_step \
+                    and ((t - sp.start_step) % sp.interval == 0 or t == sp.end_step):
+                masks = prune_step(model, masks, target_sparsity(sp, t))
+            loss, l_pt, l_kd = _step_loss(*forward(t), cfg.distill)
+            # The gradients are cleared here, after this step's forward, not
+            # after the last Adam step: the peak is in backward, where they
+            # exist either way, and while they sat above the freed tape in the
+            # heap, the forward reused the tape's memory instead of malloc
+            # returning it to the OS and faulting it in again.
+            opt.zero_grad()
+            T.backward(loss)
+            # dropping `loss` frees the step's tape, and with it the weight
+            # arrays that prune_step replaced
+            step_loss = _finite(cfg, float(loss.values), f"step {t}")
+            del loss
+            # pattern frozen after the last mask recomputation; regrowth before it
+            opt.step(lr, masks if sp is None or t >= sp.end_step else None)
+            if t % cfg.log_every == 0:
+                metrics.rows.append((t, lr, 0.0 if sp is None else target_sparsity(sp, t),
+                                     sparsity_report(model).aggregate, l_pt, l_kd, step_loss))
+    return metrics, step_loss
 
 
 def _train_mlm(cfg: StageConfig, model: EncoderModel,
@@ -183,7 +227,9 @@ def _train_mlm(cfg: StageConfig, model: EncoderModel,
                        else {"final_sparsity": sparsity_report(model).aggregate})
     val = make_mlm_batch(corpus, seed=_batch_seed(cfg.data.corpus_seed, 999_999),
                          batch=cfg.batch_size, seq_len=cfg.seq_len, split="validation")
-    metrics.summary["val_loss"] = float(model.forward_mlm(val).loss.values)
+    with T.no_grad(), _divergence_is_an_error(cfg, "validation"):
+        val_loss = _finite(cfg, float(model.forward_mlm(val).loss.values), "validation")
+    metrics.summary["val_loss"] = val_loss
     return checkpoint_from_model(model, cfg.stage, metrics.summary, cfg.digest()), metrics
 
 
@@ -217,9 +263,11 @@ def _train_task(cfg: StageConfig, start_ckpt: Checkpoint, teacher_ckpt: Optional
         q8_names = quant.weight_names
         qat_summary = {"activation_ranges": {k: list(v) for k, v in sorted(quant.ranges.items())}}
         quant = QatContext.from_ranges(q8_names, quant.ranges)
-    fw = model.forward_classify(task.validation, quant=quant)
+    with T.no_grad(), _divergence_is_an_error(cfg, "validation"):
+        fw = model.forward_classify(task.validation, quant=quant)
+        val_loss = _finite(cfg, float(fw.loss.values), "validation")
     acc = float((fw.logits.values.argmax(axis=-1) == task.validation.labels).mean())
-    metrics.summary = {"val_accuracy": acc, "val_loss": float(fw.loss.values),
+    metrics.summary = {"val_accuracy": acc, "val_loss": val_loss,
                        "final_sparsity": sparsity_report(model).aggregate, **qat_summary}
     ckpt = checkpoint_from_model(model, cfg.stage, metrics.summary, cfg.digest(), q8_names=q8_names)
     return ckpt, metrics

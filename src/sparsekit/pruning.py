@@ -49,7 +49,7 @@ def _magnitude_mask(w: np.ndarray, ratio: float) -> np.ndarray:
     """
     k = int(np.floor(ratio * w.size))
     if k == 0:
-        return np.ones(w.shape, dtype=np.float32)
+        return np.ones(w.shape, dtype=bool)
     a = np.abs(w.reshape(-1))
     thr = np.sort(a)[k - 1]
     if np.isnan(thr):
@@ -63,13 +63,14 @@ def _magnitude_mask(w: np.ndarray, ratio: float) -> np.ndarray:
         pruned |= tie
     else:
         pruned[np.flatnonzero(tie)[:extra]] = True
-    return (~pruned).astype(np.float32).reshape(w.shape)
+    return (~pruned).reshape(w.shape)
 
 
 def prune_step(model, mask_set: Optional[Dict[str, np.ndarray]],
                ratio: float) -> Dict[str, np.ndarray]:
     """Recompute masks from current magnitudes and hard-zero pruned weights.
-    `mask_set`, the previous masks, is not read."""
+    A mask is a bool array, True where the weight is kept. `mask_set`, the
+    previous masks, is not read."""
     if not (0.0 <= ratio <= 1.0):
         raise ContractError(f"prune ratio {ratio} outside [0, 1]")
     masks = {}
@@ -77,17 +78,17 @@ def prune_step(model, mask_set: Optional[Dict[str, np.ndarray]],
         p = model.parameters[name]
         m = _magnitude_mask(p.values, ratio)
         # np.where instead of w*m so pruned entries become +0.0, not -0.0
-        p.values = np.where(m == 0, np.float32(0.0), p.values).astype(p.values.dtype, copy=False)
+        p.values = np.where(m, p.values, np.float32(0.0)).astype(p.values.dtype, copy=False)
         masks[name] = m
     return masks
 
 
 def lock_pattern(model) -> Dict[str, np.ndarray]:
-    """Mask is 1 exactly where the weight is nonzero, over prunable tensors."""
+    """Bool masks, True exactly where the weight is nonzero, over prunable tensors."""
     masks = {}
     for name in model.prunable_parameters():
         w = model.parameters[name].values
-        masks[name] = (w != 0).astype(np.float32)
+        masks[name] = w != 0
     return masks
 
 

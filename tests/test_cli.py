@@ -247,6 +247,9 @@ def test_out_of_range_run_value_is_one_line_error(key, tmp_path, capsys):
     ("prune", "pruning", "start_step = -1", "pruning start_step must be >= 0, got -1"),
     ("prune", "pruning", "start_step = -1\n[run]\nlrr = false",
      "pruning start_step must be >= 0, got -1"),
+    # numpy seeds its generators from non-negative integers only
+    ("teacher-prep", "run", "seed = -1", "seed must be >= 0, got -1"),
+    ("teacher-prep", "data", "corpus_seed = -1", "corpus_seed must be >= 0, got -1"),
 ])
 def test_out_of_range_config_value_is_one_line_error(command, section, line, message, tmp_path,
                                                      capsys):
@@ -263,6 +266,35 @@ def test_out_of_range_config_value_is_one_line_error(command, section, line, mes
     rc = main([command, "--config", str(path), *start, "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_negative_seed_flag_is_one_line_error(workdir, tmp_path, capsys):
+    out = tmp_path / "x.ckpt"
+    rc = main(["teacher-prep", "--config", str(workdir / "teacher.cfg"), "--seed", "-1",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+# A legal but huge value that makes training diverge. Before the check, such
+# a run printed numpy's overflow warnings, then exited 0 and wrote a
+# checkpoint with a NaN loss.
+@pytest.mark.parametrize("line, where", [
+    ("[optimizer]\nlr = 1e30", "step 2"),
+    ("[optimizer]\nweight_decay = 1e30", "step 2"),
+    ("[optimizer]\nlr = 1e30\n[run]\nsteps = 2", "validation"),
+])
+def test_diverging_run_is_one_line_error(line, where, tmp_path, capsys):
+    path = tmp_path / "diverge.cfg"
+    path.write_text(f"{TEACHER_CFG}\n{line}\n")
+    out = tmp_path / "x.ckpt"
+    rc = main(["teacher-prep", "--config", str(path), "--out", str(out)])
+    assert rc == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.count("\n") == 1
+    assert err.startswith(f"error: teacher-prep diverged in {where}: overflow encountered in ")
     assert not out.exists()
 
 

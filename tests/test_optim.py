@@ -120,6 +120,19 @@ def _reference_step(params, state, t, lr, masks, weight_decay, b1=0.9, b2=0.999,
 
 @pytest.mark.parametrize("run_size", [None, 1, 20])
 def test_flat_step_bit_equal_to_per_parameter_loop(run_size, monkeypatch):
+    _check_flat_step_against_loop(run_size, np.float32, monkeypatch)
+
+
+@pytest.mark.parametrize("run_size", [None, 1, 20])
+def test_flat_step_with_bool_masks_bit_equal_to_loop(run_size, monkeypatch):
+    """The bool masks that pruning makes give the bytes of the loop with
+    float32 0/1 masks, and a run whose masks are all bool keeps a bool mask."""
+    _check_flat_step_against_loop(run_size, bool, monkeypatch)
+
+
+def _check_flat_step_against_loop(run_size, mask_dtype, monkeypatch):
+    """Adam's step, given masks of `mask_dtype`, against `_reference_step`
+    with the same masks as float32."""
     if run_size is not None:  # runs of one parameter each, or a few parameters
         monkeypatch.setattr(optim, "RUN_SIZE", run_size)
     rng = np.random.Generator(np.random.PCG64(3))
@@ -139,13 +152,16 @@ def test_flat_step_bit_equal_to_per_parameter_loop(run_size, monkeypatch):
               "a.bias": np.array([1.0, 0.0, 1.0], dtype=np.float32)}
     for t in range(1, 13):
         masks = (None, mask_a, mask_a, mask_b)[t % 4]
+        given = None if masks is None else {n: m.astype(mask_dtype) for n, m in masks.items()}
         lr = 0.0 if t % 4 == 2 else 0.01 * t
         for n, s in shapes.items():
             g = None if (n == "b.weight" and t % 3 == 0) or (n == "emb" and t < 4) \
                 else rng.standard_normal(s).astype(np.float32)
             flat[n].grad, ref[n].grad = g, g
-        opt.step(lr, masks)
+        opt.step(lr, given)
         _reference_step(ref, state, t, lr, masks, 0.01)
+        if given is not None:
+            assert all(r[-1] is None or r[-1].dtype == mask_dtype for r in opt._runs_cache), t
         for n in shapes:
             assert flat[n].values.tobytes() == ref[n].values.tobytes(), (t, n)
             m, v = _moments(opt, n)

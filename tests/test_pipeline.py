@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sparsekit import distill as distill_module, pipeline as pipeline_module, quant as quant_module
 from sparsekit import tensor as T
 from sparsekit.checkpoint import (Q8, SPARSE, checkpoint_from_model,
                                   model_from_checkpoint, serialize)
@@ -16,10 +18,11 @@ from sparsekit.data import (build_synthetic_corpus, make_mlm_batch, task_minibat
                             task_minibatch_indices)
 from sparsekit.distill import DistillConfig, combined_loss, kd_loss
 from sparsekit.model import ConfigError, build_model, prunable_parameter_names
-from sparsekit.pipeline import (METRICS_HEADER, _batch_seed, _make_task, _step_loss,
-                                _TaskTeacher, run_finetune_prune_baseline, run_qat, run_student_prune,
-                                run_teacher_prep, run_transfer)
+from sparsekit.pipeline import (METRICS_HEADER, DivergenceError, _batch_seed, _make_task,
+                                _step_loss, _TaskTeacher, _train, run_finetune_prune_baseline,
+                                run_qat, run_student_prune, run_teacher_prep, run_transfer)
 from sparsekit.pruning import SparsitySchedule, target_sparsity
+from sparsekit.tensor import SparsekitError
 
 from oracles import astype, mean
 
@@ -251,6 +254,86 @@ def test_stage_determinism():
     b_ckpt, b_metrics = run_teacher_prep(cfg)
     assert serialize(a_ckpt) == serialize(b_ckpt)
     assert a_metrics.to_csv_text() == b_metrics.to_csv_text()
+
+
+@pytest.mark.parametrize("stage", ["teacher-prep", "student-prune"])
+def test_step_tape_is_freed_before_next_forward(stage):
+    """At each forward's entry the previous step's logits array, and with it
+    its tape, is gone, and so is a weight array that prune_step has
+    replaced since."""
+    window = SparsitySchedule(0.0, 0.5, 0, 2, 2, 1) if stage == "student-prune" else None
+    cfg = default_config(stage, seed=1, steps=4, pruning=window)
+    model = build_model(cfg.model, 0)
+    teacher = build_model(cfg.model, 1) if stage == "student-prune" else None
+    corpus = build_synthetic_corpus(1, 64, vocab_size=cfg.model.vocab)
+    w = model.parameters["layer.0.q.weight"]
+    held, found = {}, []
+
+    def forward(t):
+        if held:
+            old_w = held["weight"]()
+            found.append((held["logits"]() is None, old_w is None or old_w is w.values))
+        batch = make_mlm_batch(corpus, t, cfg.batch_size, cfg.seq_len)
+        fw = model.forward_mlm(batch)
+        held.update(logits=weakref.ref(fw.logits.values), weight=weakref.ref(w.values))
+        with T.no_grad():
+            return fw, None if teacher is None else teacher.forward_mlm(batch).logits
+
+    _train(cfg, model, forward)
+    assert found == [(True, True)] * (cfg.steps - 1)
+
+
+@pytest.mark.parametrize("stage", ["teacher-prep", "transfer", "qat"])
+def test_evaluation_builds_no_tape(stage, monkeypatch, sparse_ckpt, finetuned_ckpt):
+    """Every node taped after training ends would be kept by the validation
+    forward for nothing; there is none."""
+    taped = []  # per taped node: whether training had ended
+    trained = []
+    real_train = pipeline_module._train
+
+    def train(*args):
+        out = real_train(*args)
+        trained.append(True)
+        return out
+
+    monkeypatch.setattr(pipeline_module, "_train", train)
+    for module in (T, distill_module, quant_module):
+        def node(values, parents, backward_fn, real=module._node):
+            if T._taping:
+                taped.append(bool(trained))
+            return real(values, parents, backward_fn)
+        monkeypatch.setattr(module, "_node", node)
+    cfg = default_config(stage, seed=1, steps=2, kd_enabled=False)
+    if stage == "teacher-prep":
+        run_teacher_prep(cfg)
+    elif stage == "transfer":
+        run_transfer(cfg, sparse_ckpt)
+    else:
+        run_qat(cfg, finetuned_ckpt)
+    assert trained and False in taped and True not in taped
+
+
+@pytest.mark.parametrize("steps, where", [(5, "step 2"), (2, "validation")])
+def test_diverging_run_is_divergence_error(steps, where, sparse_ckpt):
+    """lr 1e30 is a legal value whose run diverges: the first overflow, in a
+    step or in the validation forward after the last step, is a typed error
+    naming the stage and where it happened, on the MLM and the task path."""
+    assert issubclass(DivergenceError, SparsekitError)
+    with pytest.raises(DivergenceError, match=f"^teacher-prep diverged in {where}: overflow"):
+        run_teacher_prep(default_config("teacher-prep", seed=1, steps=steps, lr=1e30))
+    with pytest.raises(DivergenceError, match=f"^transfer diverged in {where}: overflow"):
+        run_transfer(default_config("transfer", seed=1, steps=steps, lr=1e30, kd_enabled=False),
+                     sparse_ckpt)
+
+
+def test_nan_start_weight_is_divergence_error(teacher_ckpt):
+    """A NaN weight makes a NaN loss without a numpy event on the way; the
+    step's loss check stops the run at its first step."""
+    model = model_from_checkpoint(teacher_ckpt)
+    model.parameters["layer.0.ffn_in.weight"].values[0, 0] = np.nan
+    start = checkpoint_from_model(model, "teacher-prep")
+    with pytest.raises(DivergenceError, match=r"^transfer diverged in step 0: loss is nan$"):
+        run_transfer(default_config("transfer", seed=1, steps=3, kd_enabled=False), start)
 
 
 def test_no_grad_teacher_gets_no_gradient():

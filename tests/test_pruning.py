@@ -111,8 +111,8 @@ def test_prune_matches_bruteforce_oracle():
 def _argsort_mask(w, ratio):
     """Reference: rank by a stable argsort of |w| and zero the first floor(ratio*n)."""
     k = int(np.floor(ratio * w.size))
-    mask = np.ones(w.size, dtype=np.float32)
-    mask[np.argsort(np.abs(w.reshape(-1)), kind="stable")[:k]] = 0.0
+    mask = np.ones(w.size, dtype=bool)
+    mask[np.argsort(np.abs(w.reshape(-1)), kind="stable")[:k]] = False
     return mask.reshape(w.shape)
 
 
@@ -186,6 +186,18 @@ def test_lock_pattern_sparsity_matches():
     for n in masks:
         size = masks[n].size
         assert (masks[n] == 0).sum() == int(np.floor(0.9 * size))
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.5])
+def test_masks_are_bool(ratio):
+    """One byte per weight: prune_step's masks (the all-kept ratio-0 path
+    too) and lock_pattern's are bool, True where the weight is kept."""
+    model = tiny_model()
+    for masks in (prune_step(model, None, ratio), lock_pattern(model)):
+        assert list(masks) == model.prunable_parameters()
+        for n, m in masks.items():
+            assert m.dtype == np.bool_ and m.shape == model.parameters[n].shape, n
+            assert (m == (model.parameters[n].values != 0)).all(), n
 
 
 def test_sparsity_report():

@@ -5,7 +5,6 @@ function of (config, input checkpoints) given the seeds it carries.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Tuple
@@ -123,27 +122,6 @@ class DivergenceError(SparsekitError):
     a NaN or infinite value."""
 
 
-@contextlib.contextmanager
-def _divergence_is_an_error(cfg: StageConfig, where: str):
-    """numpy's overflow, invalid-value and divide-by-zero events in the block
-    raise a DivergenceError that names the stage and `where`, instead of
-    printing a warning and running on."""
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise DivergenceError(f"{cfg.stage} diverged in {where}: {exc}") from None
-
-
-def _finite(cfg: StageConfig, loss: float, where: str) -> float:
-    """`loss`; a NaN or infinite one is a DivergenceError. A non-finite input
-    weight carries into the loss without a numpy event, so this check does
-    not repeat `_divergence_is_an_error`'s."""
-    if not math.isfinite(loss):
-        raise DivergenceError(f"{cfg.stage} diverged in {where}: loss is {loss}")
-    return loss
-
-
 def _expect_stage(cfg: StageConfig, stage: str) -> None:
     if cfg.stage != stage:
         raise ConfigError(f"expected {stage} config, got {cfg.stage}")
@@ -163,11 +141,14 @@ def _step_loss(fw: ForwardResult, t_logits: Optional[T.Tensor],
 
 def _train(cfg: StageConfig, model: EncoderModel,
            forward: Callable[[int], tuple[ForwardResult, Optional[T.Tensor]]],
-           masks: Optional[Dict[str, np.ndarray]] = None) -> tuple[RunMetrics, float]:
-    """The step loop of every stage: one Adam step on the loss of
-    `forward(t)`, which gives the student's forward on step t's batch and
-    the teacher's logits at the same rows (None without distillation).
-    Returns the logged rows and the last step's loss, logged or not.
+           evaluate: Callable[[float], tuple[ForwardResult, dict]],
+           masks: Optional[Dict[str, np.ndarray]] = None) -> RunMetrics:
+    """The body of every stage: one Adam step on the loss of `forward(t)`
+    per step, then the validation forward. `forward(t)` gives the student's
+    forward on step t's batch and the teacher's logits at the same rows
+    (None without distillation). `evaluate(last_loss)`, given the last
+    step's loss, logged or not, runs tape-free and gives the validation
+    forward and the rest of the summary, to which `val_loss` is added.
 
     A stage prunes exactly when its config has a pruning section: gradual
     magnitude pruning on that schedule, under the rewound learning rate.
@@ -175,37 +156,51 @@ def _train(cfg: StageConfig, model: EncoderModel,
 
     A step's tape lives from its forward to its backward: when
     `forward(t + 1)` runs, only the parameters, the masks, Adam's moments
-    and step t's gradients remain of step t. A step that makes a NaN or
-    infinite value is a DivergenceError.
+    and step t's gradients remain of step t. A numpy overflow, invalid value
+    or division by zero, or a NaN or infinite loss, in a step or in the
+    validation forward, is a DivergenceError naming the stage and where.
     """
     sp = cfg.pruning
     opt = Adam(model.parameters, weight_decay=cfg.weight_decay)
     metrics = RunMetrics()
-    for t in range(cfg.steps):
-        with _divergence_is_an_error(cfg, f"step {t}"):
-            lr = lr_rewound(cfg, t)  # the plain schedule without a pruning window or with lrr off
-            # the freeze step always prunes, so the frozen pattern meets the target
-            if sp is not None and sp.start_step <= t <= sp.end_step \
-                    and ((t - sp.start_step) % sp.interval == 0 or t == sp.end_step):
-                masks = prune_step(model, masks, target_sparsity(sp, t))
-            loss, l_pt, l_kd = _step_loss(*forward(t), cfg.distill)
-            # The gradients are cleared here, after this step's forward, not
-            # after the last Adam step: the peak is in backward, where they
-            # exist either way, and while they sat above the freed tape in the
-            # heap, the forward reused the tape's memory instead of malloc
-            # returning it to the OS and faulting it in again.
-            opt.zero_grad()
-            T.backward(loss)
-            # dropping `loss` frees the step's tape, and with it the weight
-            # arrays that prune_step replaced
-            step_loss = _finite(cfg, float(loss.values), f"step {t}")
-            del loss
-            # pattern frozen after the last mask recomputation; regrowth before it
-            opt.step(lr, masks if sp is None or t >= sp.end_step else None)
-            if t % cfg.log_every == 0:
-                metrics.rows.append((t, lr, 0.0 if sp is None else target_sparsity(sp, t),
-                                     sparsity_report(model).aggregate, l_pt, l_kd, step_loss))
-    return metrics, step_loss
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for t in range(cfg.steps):
+                where = f"step {t}"
+                lr = lr_rewound(cfg, t)  # the plain schedule without a pruning window or with lrr off
+                # the freeze step always prunes, so the frozen pattern meets the target
+                if sp is not None and sp.start_step <= t <= sp.end_step \
+                        and ((t - sp.start_step) % sp.interval == 0 or t == sp.end_step):
+                    masks = prune_step(model, masks, target_sparsity(sp, t))
+                loss, l_pt, l_kd = _step_loss(*forward(t), cfg.distill)
+                # The gradients are cleared here, after this step's forward, not
+                # after the last Adam step: the peak is in backward, where they
+                # exist either way, and while they sat above the freed tape in the
+                # heap, the forward reused the tape's memory instead of malloc
+                # returning it to the OS and faulting it in again.
+                opt.zero_grad()
+                T.backward(loss)
+                # dropping `loss` frees the step's tape, and with it the weight
+                # arrays that prune_step replaced
+                step_loss = float(loss.values)
+                del loss
+                # a non-finite input weight carries into the loss without a numpy event
+                if not math.isfinite(step_loss):
+                    raise FloatingPointError(f"loss is {step_loss}")
+                # pattern frozen after the last mask recomputation; regrowth before it
+                opt.step(lr, masks if sp is None or t >= sp.end_step else None)
+                if t % cfg.log_every == 0:
+                    metrics.rows.append((t, lr, 0.0 if sp is None else target_sparsity(sp, t),
+                                         sparsity_report(model).aggregate, l_pt, l_kd, step_loss))
+            where = "validation"
+            with T.no_grad():  # the loss is computed lazily, so it is read in here
+                fw, metrics.summary = evaluate(step_loss)
+                val_loss = metrics.summary["val_loss"] = float(fw.loss.values)
+            if not math.isfinite(val_loss):
+                raise FloatingPointError(f"loss is {val_loss}")
+    except FloatingPointError as exc:
+        raise DivergenceError(f"{cfg.stage} diverged in {where}: {exc}") from None
+    return metrics
 
 
 def _train_mlm(cfg: StageConfig, model: EncoderModel,
@@ -222,14 +217,14 @@ def _train_mlm(cfg: StageConfig, model: EncoderModel,
         fw = model.forward_mlm(batch)
         with T.no_grad():
             return fw, None if teacher is None else teacher.forward_mlm(batch).logits
-    metrics, last_loss = _train(cfg, model, forward)
-    metrics.summary = ({"final_train_loss": last_loss} if cfg.pruning is None
-                       else {"final_sparsity": sparsity_report(model).aggregate})
-    val = make_mlm_batch(corpus, seed=_batch_seed(cfg.data.corpus_seed, 999_999),
-                         batch=cfg.batch_size, seq_len=cfg.seq_len, split="validation")
-    with T.no_grad(), _divergence_is_an_error(cfg, "validation"):
-        val_loss = _finite(cfg, float(model.forward_mlm(val).loss.values), "validation")
-    metrics.summary["val_loss"] = val_loss
+
+    def evaluate(last_loss: float):
+        val = make_mlm_batch(corpus, seed=_batch_seed(cfg.data.corpus_seed, 999_999),
+                             batch=cfg.batch_size, seq_len=cfg.seq_len, split="validation")
+        summary = ({"final_train_loss": last_loss} if cfg.pruning is None
+                   else {"final_sparsity": sparsity_report(model).aggregate})
+        return model.forward_mlm(val), summary
+    metrics = _train(cfg, model, forward, evaluate)
     return checkpoint_from_model(model, cfg.stage, metrics.summary, cfg.digest()), metrics
 
 
@@ -257,18 +252,19 @@ def _train_task(cfg: StageConfig, start_ckpt: Checkpoint, teacher_ckpt: Optional
         rows = task_minibatch_indices(task, _batch_seed(cfg.seed, t), cfg.batch_size)
         fw = model.forward_classify(task_minibatch(task, rows), quant=quant)
         return fw, None if teacher is None else teacher.logits(rows)
-    metrics, _ = _train(cfg, model, forward, masks)
-    q8_names, qat_summary = (), {}
-    if quant is not None:
-        q8_names = quant.weight_names
-        qat_summary = {"activation_ranges": {k: list(v) for k, v in sorted(quant.ranges.items())}}
-        quant = QatContext.from_ranges(q8_names, quant.ranges)
-    with T.no_grad(), _divergence_is_an_error(cfg, "validation"):
-        fw = model.forward_classify(task.validation, quant=quant)
-        val_loss = _finite(cfg, float(fw.loss.values), "validation")
-    acc = float((fw.logits.values.argmax(axis=-1) == task.validation.labels).mean())
-    metrics.summary = {"val_accuracy": acc, "val_loss": val_loss,
-                       "final_sparsity": sparsity_report(model).aggregate, **qat_summary}
+
+    def evaluate(last_loss: float):
+        frozen, qat_summary = None, {}
+        if quant is not None:
+            frozen = QatContext.from_ranges(quant.weight_names, quant.ranges)
+            qat_summary = {"activation_ranges": {k: list(v)
+                                                 for k, v in sorted(quant.ranges.items())}}
+        fw = model.forward_classify(task.validation, quant=frozen)
+        acc = float((fw.logits.values.argmax(axis=-1) == task.validation.labels).mean())
+        return fw, {"val_accuracy": acc, "final_sparsity": sparsity_report(model).aggregate,
+                    **qat_summary}
+    metrics = _train(cfg, model, forward, evaluate, masks)
+    q8_names = () if quant is None else quant.weight_names
     ckpt = checkpoint_from_model(model, cfg.stage, metrics.summary, cfg.digest(), q8_names=q8_names)
     return ckpt, metrics
 

@@ -377,9 +377,8 @@ def position_embedding(table: Tensor, batch: int, seq: int) -> Tensor:
 
     def back(g):
         gt = np.zeros_like(table.values)
-        rows = gt[:seq]
-        for gb in g:  # from +0.0 in row order, as np.add.at adds them
-            rows += gb
+        # from +0.0 in row order, as np.add.at adds them
+        gt[:seq] = np.add.reduce(g, axis=0, initial=0.0)
         return (gt,)
 
     return _node(out, (table,), back)
@@ -430,7 +429,9 @@ def take_rows(a: Tensor, index) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(param) into every reachable requires_grad tensor.
 
-    Calling twice without zeroing doubles the stored gradients.
+    Calling twice without zeroing doubles the stored gradients. The walk keys
+    its sets and dicts on the nodes themselves, which needs `Tensor` to hash
+    and compare by identity: it must define no `__eq__` or `__hash__`.
     """
     if loss.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -442,17 +443,17 @@ def backward(loss: Tensor) -> None:
         if expanded:
             topo.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen:
+            if p not in seen:
                 stack.append((p, False))
 
-    adj = {id(loss): np.ones_like(loss.values)}
+    adj = {loss: np.ones_like(loss.values)}
     for node in reversed(topo):
-        g = adj.pop(id(node), None)
+        g = adj.pop(node, None)
         if g is None:
             continue
         if node.requires_grad:
@@ -462,8 +463,8 @@ def backward(loss: Tensor) -> None:
         for p, pg in zip(node.parents, node._backward(g)):
             if pg is None:
                 continue
-            prev = adj.get(id(p))
-            adj[id(p)] = pg if prev is None else prev + pg
+            prev = adj.get(p)
+            adj[p] = pg if prev is None else prev + pg
 
 
 # -- initialization -------------------------------------------------------

@@ -1,4 +1,7 @@
+import math
+import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from sparsekit.checkpoint import (FormatError, checkpoint_from_model, load_checkpoint,
                                   save_checkpoint)
 from sparsekit.cli import main
+from sparsekit.config import _SCHEMA
 from sparsekit.model import ConfigError, DataError, ModelConfig, build_model
 from sparsekit.tensor import ContractError, ShapeError, SparsekitError, UnsupportedPrimitiveError
 
@@ -343,3 +347,77 @@ def test_mlm_task_teacher_is_one_line_error(workdir, tmp_path, capsys):
     assert err.startswith("error: task teacher must be a 3-label classifier") \
         and err.count("\n") == 1
     assert not out.exists()
+
+
+# The schema fuzz: each draw runs one training command on 5-step input
+# checkpoints, for 2-5 steps, with 1-3 schema keys set to values from these
+# sets. Most values are legal somewhere and out of range elsewhere.
+FUZZ_INTS = ["-1", "0", "1", "2", "3", "4", "5", "7", "8", "16", "33", "64"]
+FUZZ_FLOATS = ["-0.5", "0", "1e-4", "0.01", "0.5", "0.9", "1", "2", "1e30", "nan", "inf"]
+FUZZ_BOOLS = ["true", "false"]
+FUZZ_KEYS = [(section, key) for section, keys in _SCHEMA.items() for key in keys
+             if key != "stage"]
+FUZZ_SEED, FUZZ_DRAWS = 1, 150
+
+
+@pytest.fixture(scope="module")
+def fuzz_commands(tmp_path_factory):
+    """Each training command's stage and input flags, on 5-step teacher, task
+    teacher, sparse and fine-tuned checkpoints."""
+    d = tmp_path_factory.mktemp("fuzz")
+
+    def run(command, name, run_lines, *inputs):
+        cfg, out = d / f"{name}.cfg", str(d / f"{name}.ckpt")
+        cfg.write_text(f"[run]\nsteps = 5\n{run_lines}\n")
+        assert main([command, "--config", str(cfg), *inputs, "--out", out]) == 0
+        return out
+
+    teacher = run("teacher-prep", "teacher", "stage = teacher-prep")
+    task_teacher = ["--teacher", run("finetune", "task_teacher", "stage = transfer\nkd = false",
+                                     "--ckpt", teacher)]
+    sparse = run("prune", "sparse", "stage = student-prune\n[pruning]\npolicy_end_step = 2\n"
+                 "end_step = 3", "--teacher", teacher)
+    finetuned = run("finetune", "finetuned", "stage = transfer", "--ckpt", sparse, *task_teacher)
+    return {
+        "teacher-prep": ("teacher-prep", []),
+        "prune": ("student-prune", ["--teacher", teacher]),
+        "finetune": ("transfer", ["--ckpt", sparse, *task_teacher]),
+        "qat": ("qat", ["--ckpt", finetuned, *task_teacher]),
+        "baseline": ("finetune-prune-baseline", ["--ckpt", teacher, *task_teacher]),
+    }
+
+
+def test_schema_fuzz_ends_clean_or_in_one_line_error(fuzz_commands, tmp_path, capsys):
+    """Every drawn config either runs clean, printing only finite summary
+    values and no warning, or exits 1 with one error line and no checkpoint.
+    A traceback or a numpy warning fails the test."""
+    values = {int: FUZZ_INTS, float: FUZZ_FLOATS}
+    rng = random.Random(FUZZ_SEED)
+    outcomes = {0: 0, 1: 0}
+    for i in range(FUZZ_DRAWS):
+        command = rng.choice(sorted(fuzz_commands))
+        stage, inputs = fuzz_commands[command]
+        lines = [f"[run]\nstage = {stage}\nsteps = {rng.randint(2, 5)}"]
+        if stage in ("student-prune", "finetune-prune-baseline"):
+            lines.append("[pruning]\npolicy_end_step = 1\nend_step = 1")
+        for section, key in rng.sample(FUZZ_KEYS, rng.randint(1, 3)):
+            value = rng.choice(values.get(_SCHEMA[section][key], FUZZ_BOOLS))
+            lines.append(f"[{section}]\n{key} = {value}")
+        text = "\n".join(lines) + "\n"
+        cfg, out = tmp_path / f"{i}.cfg", tmp_path / f"{i}.ckpt"
+        cfg.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, "--config", str(cfg), *inputs, "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        if rc == 0:
+            *summary, wrote = stdout.splitlines()
+            assert wrote == f"wrote {out}" and out.exists() and err == "", text
+            for line in summary:
+                assert math.isfinite(float(line.split(": ", 1)[1])), (text, line)
+        else:
+            assert rc == 1, text
+            assert err.startswith("error: ") and err.count("\n") == 1, (text, err)
+            assert stdout == "" and not out.exists(), text
+        outcomes[rc] += 1
+    assert min(outcomes.values()) > 0, outcomes

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sparsekit import distill as distill_module, pipeline as pipeline_module, quant as quant_module
+from sparsekit import distill as distill_module, quant as quant_module
 from sparsekit import tensor as T
 from sparsekit.checkpoint import (Q8, SPARSE, checkpoint_from_model,
                                   model_from_checkpoint, serialize)
@@ -279,38 +279,40 @@ def test_step_tape_is_freed_before_next_forward(stage):
         with T.no_grad():
             return fw, None if teacher is None else teacher.forward_mlm(batch).logits
 
-    _train(cfg, model, forward)
+    def evaluate(last_loss):
+        return model.forward_mlm(make_mlm_batch(corpus, cfg.steps, cfg.batch_size, cfg.seq_len)), {}
+
+    _train(cfg, model, forward, evaluate)
     assert found == [(True, True)] * (cfg.steps - 1)
 
 
 @pytest.mark.parametrize("stage", ["teacher-prep", "transfer", "qat"])
 def test_evaluation_builds_no_tape(stage, monkeypatch, sparse_ckpt, finetuned_ckpt):
-    """Every node taped after training ends would be kept by the validation
-    forward for nothing; there is none."""
+    """Every node taped after the last step's backward would be kept by the
+    validation forward for nothing; there is none."""
+    cfg = default_config(stage, seed=1, steps=2, kd_enabled=False)
     taped = []  # per taped node: whether training had ended
-    trained = []
-    real_train = pipeline_module._train
+    backwards = []
+    real_backward = T.backward
 
-    def train(*args):
-        out = real_train(*args)
-        trained.append(True)
-        return out
+    def backward(loss):
+        real_backward(loss)
+        backwards.append(True)
 
-    monkeypatch.setattr(pipeline_module, "_train", train)
+    monkeypatch.setattr(T, "backward", backward)
     for module in (T, distill_module, quant_module):
         def node(values, parents, backward_fn, real=module._node):
             if T._taping:
-                taped.append(bool(trained))
+                taped.append(len(backwards) == cfg.steps)
             return real(values, parents, backward_fn)
         monkeypatch.setattr(module, "_node", node)
-    cfg = default_config(stage, seed=1, steps=2, kd_enabled=False)
     if stage == "teacher-prep":
         run_teacher_prep(cfg)
     elif stage == "transfer":
         run_transfer(cfg, sparse_ckpt)
     else:
         run_qat(cfg, finetuned_ckpt)
-    assert trained and False in taped and True not in taped
+    assert len(backwards) == cfg.steps and False in taped and True not in taped
 
 
 @pytest.mark.parametrize("steps, where", [(5, "step 2"), (2, "validation")])

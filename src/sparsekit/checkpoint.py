@@ -25,9 +25,9 @@ from typing import Collection, Dict, Optional
 
 import numpy as np
 
-from .model import EncoderModel, ModelConfig, build_model, parameter_specs
+from .model import EncoderModel, ModelConfig, init_parameter, parameter_specs
 from .quant import dequantize, quantize_ints, weight_grid, weight_qparams
-from .tensor import SparsekitError
+from .tensor import SparsekitError, Tensor
 
 MAGIC = b"POFA"
 VERSION = 1
@@ -60,12 +60,15 @@ class TensorRecord:
     def size(self) -> int:
         return int(math.prod(self.shape))
 
-    def to_dense(self) -> np.ndarray:
+    def to_dense(self, copy: bool = True) -> np.ndarray:
+        """The values in `shape`. With `copy` False, a dense f32 record gives
+        a view of its payload; every other kind builds a new array anyway."""
         values = self.payload
         if self.scale is not None:
             values = dequantize(values, weight_grid(self.scale))
         if self.bitmap is None:
-            return values.reshape(self.shape).copy()
+            values = values.reshape(self.shape)
+            return values.copy() if copy else values
         flat = np.zeros(self.size, dtype=np.float32)
         flat[self.bitmap] = values
         return flat.reshape(self.shape)
@@ -131,9 +134,16 @@ def checkpoint_from_model(model: EncoderModel, stage: str, metrics: Optional[dic
 
 
 def model_from_checkpoint(ckpt: Checkpoint, head_kind: Optional[str] = None,
-                          num_labels: Optional[int] = None, seed: int = 0) -> EncoderModel:
+                          num_labels: Optional[int] = None, seed: int = 0,
+                          frozen: bool = False) -> EncoderModel:
     """Rebuild a dense float32 model; head params that the checkpoint's
-    config does not describe (a head `head_kind` swaps in) are freshly seeded.
+    config does not describe (a head `head_kind` swaps in) are freshly seeded,
+    with the draws `build_model(cfg, seed)` makes for them.
+
+    Each parameter gets its own writable copy of its record's values, unless
+    `frozen`: then every parameter is read-only and a dense f32 record's
+    parameter is a view of its payload, so a frozen model costs no memory of
+    its own beyond sparse and int8 records.
 
     Records of a head that `head_kind` drops are skipped. Every other record
     must name a parameter of the model and have its shape, and every
@@ -144,23 +154,30 @@ def model_from_checkpoint(ckpt: Checkpoint, head_kind: Optional[str] = None,
     if head_kind is not None or num_labels is not None:
         cfg = replace(cfg, head_kind=head_kind or cfg.head_kind,
                       num_labels=num_labels or cfg.num_labels)
-    model = build_model(cfg, seed=seed)
+    specs = parameter_specs(cfg)
+    shapes = {name: shape for name, shape, _ in specs}
     described = {name for name, _, _ in parameter_specs(ckpt.model_config)}
-    dropped = described - model.parameters.keys()
     for name, rec in ckpt.tensors.items():
-        p = model.parameters.get(name)
-        if p is None:
-            if name in dropped:
+        if name not in shapes:
+            if name in described:  # a dropped head
                 continue
             raise FormatError(f"tensor {name!r} is not a parameter of the model")
-        if tuple(rec.shape) != p.shape:
+        if tuple(rec.shape) != shapes[name]:
             raise FormatError(f"tensor {name!r} has shape {tuple(rec.shape)}, "
-                              f"the model's is {p.shape}")
-        p.values = rec.to_dense()
-    missing = [name for name in model.parameters if name in described and name not in ckpt.tensors]
-    if missing:
-        raise FormatError(f"checkpoint has no tensor {missing[0]!r}")
-    return model
+                              f"the model's is {shapes[name]}")
+    params: Dict[str, Tensor] = {}
+    for idx, (name, shape, scheme) in enumerate(specs):
+        rec = ckpt.tensors.get(name)
+        if rec is None:
+            if name in described:
+                raise FormatError(f"checkpoint has no tensor {name!r}")
+            params[name] = init_parameter(shape, scheme, seed, idx)
+            continue
+        values = rec.to_dense(copy=not frozen)
+        if frozen:  # a view is read-only even when the payload is not
+            values.flags.writeable = False
+        params[name] = Tensor(values, requires_grad=not frozen)
+    return EncoderModel(cfg, params)
 
 
 # -- wire format ------------------------------------------------------------

@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass, field, asdict, replace
 from typing import Optional
 
+from .data import _split_point
 from .distill import DistillConfig
 from .model import ConfigError, ModelConfig
 from .pruning import SparsitySchedule
@@ -28,6 +29,12 @@ class DataConfig:
         # numpy seeds its generators from non-negative integers only
         if self.corpus_seed < 0:
             raise ConfigError(f"corpus_seed must be >= 0, got {self.corpus_seed}")
+        # the data builders' own checks, applied here too, so that a stage that
+        # builds no corpus or no task still rejects the values it does not read
+        _split_point("num_sequences", self.num_sequences)
+        _split_point("num_examples", self.num_examples)
+        if self.num_labels < 2:
+            raise ConfigError("need at least two labels")
 
 
 @dataclass(frozen=True)

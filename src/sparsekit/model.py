@@ -203,10 +203,15 @@ class EncoderModel:
                              batch.labels)
 
 
+def init_parameter(shape, scheme: str, seed: int, idx: int) -> Tensor:
+    """The seeded init of the `idx`-th entry of `parameter_specs`, drawn
+    from its own stream keyed by (seed, idx)."""
+    sub = int(np.random.SeedSequence((seed, idx)).generate_state(1)[0])
+    return T.seeded_init(shape, scheme, sub)
+
+
 def build_model(config: ModelConfig, seed: int) -> EncoderModel:
     """Deterministic float32 init: weights N(0, 0.02^2), biases zero, LN gains one."""
-    params: Dict[str, Tensor] = {}
-    for idx, (name, shape, scheme) in enumerate(parameter_specs(config)):
-        sub = int(np.random.SeedSequence((seed, idx)).generate_state(1)[0])
-        params[name] = T.seeded_init(shape, scheme, sub)
-    return EncoderModel(config, params)
+    return EncoderModel(config, {name: init_parameter(shape, scheme, seed, idx)
+                                 for idx, (name, shape, scheme)
+                                 in enumerate(parameter_specs(config))})

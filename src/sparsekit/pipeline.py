@@ -102,7 +102,7 @@ class _TaskTeacher:
             raise ConfigError(f"task teacher must be a {task.num_labels}-label classifier; the "
                               f"{ckpt.stage} checkpoint has head_kind={cfg.head_kind}, "
                               f"num_labels={cfg.num_labels}")
-        self.model = model_from_checkpoint(ckpt)
+        self.model = model_from_checkpoint(ckpt, frozen=True)
         ids, mask = task.train.input_ids, task.train.attention_mask
         with T.no_grad():
             self.cls = np.concatenate([
@@ -212,11 +212,13 @@ def _train_mlm(cfg: StageConfig, model: EncoderModel,
                                     vocab_size=cfg.model.vocab, seq_len=max(cfg.seq_len, 8))
 
     def forward(t: int):
-        # both forwards give logits at the masked positions alone, in the same order
+        # both forwards give logits at the masked positions alone, in the same order;
+        # the teacher's runs first, so its activations are freed before the
+        # student's tape exists
         batch = make_mlm_batch(corpus, _batch_seed(cfg.seed, t), cfg.batch_size, cfg.seq_len)
-        fw = model.forward_mlm(batch)
         with T.no_grad():
-            return fw, None if teacher is None else teacher.forward_mlm(batch).logits
+            t_logits = None if teacher is None else teacher.forward_mlm(batch).logits
+        return model.forward_mlm(batch), t_logits
 
     def evaluate(last_loss: float):
         val = make_mlm_batch(corpus, seed=_batch_seed(cfg.data.corpus_seed, 999_999),
@@ -281,7 +283,7 @@ def run_student_prune(cfg: StageConfig, teacher_ckpt: Checkpoint) -> Tuple[Check
     """GMP with learning-rate rewinding under distillation from the frozen teacher."""
     _expect_stage(cfg, "student-prune")
     _check_same_encoder(cfg.model, teacher_ckpt.model_config)
-    teacher = model_from_checkpoint(teacher_ckpt) if cfg.kd_enabled else None
+    teacher = model_from_checkpoint(teacher_ckpt, frozen=True) if cfg.kd_enabled else None
     return _train_mlm(cfg, model_from_checkpoint(teacher_ckpt), teacher)
 
 

@@ -174,16 +174,19 @@ def gelu(a: Tensor) -> Tensor:
     np.multiply(out, np.add(1.0, th), out=out)
 
     def back(g):
-        # 0.5 (1 + th) + 0.5 x (1 - th^2) sqrt(2/pi) (1 + 3 * 0.044715 x^2)
-        dinner = np.multiply(3.0 * GELU_COEFF, x)
-        np.multiply(dinner, x, out=dinner)
-        np.add(1.0, dinner, out=dinner)
-        np.multiply(_SQRT_2_OVER_PI, dinner, out=dinner)
-        dx = np.add(1.0, th)
-        np.multiply(0.5, dx, out=dx)
+        # 0.5 (1 + th) + 0.5 x (1 - th^2) sqrt(2/pi) (1 + 3 * 0.044715 x^2),
+        # in two arrays: `u` holds (1 - th^2), then the inner derivative, then dx
         t = np.multiply(0.5, x)
-        np.multiply(t, np.subtract(1.0, np.multiply(th, th)), out=t)
-        np.multiply(t, dinner, out=t)
+        u = np.multiply(th, th)
+        np.subtract(1.0, u, out=u)
+        np.multiply(t, u, out=t)
+        np.multiply(3.0 * GELU_COEFF, x, out=u)
+        np.multiply(u, x, out=u)
+        np.add(1.0, u, out=u)
+        np.multiply(_SQRT_2_OVER_PI, u, out=u)
+        np.multiply(t, u, out=t)
+        dx = np.add(1.0, th, out=u)
+        np.multiply(0.5, dx, out=dx)
         np.add(dx, t, out=dx)
         return (np.multiply(g, dx, out=dx),)
 

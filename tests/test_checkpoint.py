@@ -131,6 +131,30 @@ def test_model_from_checkpoint_head_swap():
     np.testing.assert_array_equal(rebuilt.parameters["layer.0.q.weight"].values,
                                   model.parameters["layer.0.q.weight"].values)
     assert "classify_head.weight" in rebuilt.parameters
+    # with the draws build_model makes for the head at that seed, in build_model's order
+    fresh = build_model(rebuilt.config, seed=9)
+    assert list(rebuilt.parameters) == list(fresh.parameters)
+    for name in ("classify_head.weight", "classify_head.bias"):
+        assert rebuilt.parameters[name].values.tobytes() == fresh.parameters[name].values.tobytes()
+
+
+def test_frozen_load_shares_dense_records_read_only():
+    """A frozen load views each dense f32 record's payload, read-only even
+    though the payload of a checkpoint built in process is writable; sparse
+    and int8 records build their own read-only array. A plain load copies."""
+    ckpt = checkpoint_from_model(small_model(seed=5), "teacher", q8_names=["layer.0.q.weight"])
+    assert {rec.storage for rec in ckpt.tensors.values()} == {DENSE_F32, SPARSE, Q8}
+    frozen = model_from_checkpoint(ckpt, frozen=True)
+    thawed = model_from_checkpoint(ckpt)
+    for name, p in frozen.parameters.items():
+        rec, q = ckpt.tensors[name], thawed.parameters[name]
+        assert p.values.tobytes() == q.values.tobytes()
+        assert not p.values.flags.writeable and q.values.flags.writeable
+        assert rec.payload.flags.writeable
+        assert np.shares_memory(p.values, rec.payload) == (rec.storage == DENSE_F32)
+        assert not np.shares_memory(q.values, rec.payload)
+        with pytest.raises(ValueError, match="read-only"):
+            p.values[...] = 0
 
 
 def test_save_load_file(tmp_path):

@@ -254,6 +254,12 @@ def test_out_of_range_run_value_is_one_line_error(key, tmp_path, capsys):
     # numpy seeds its generators from non-negative integers only
     ("teacher-prep", "run", "seed = -1", "seed must be >= 0, got -1"),
     ("teacher-prep", "data", "corpus_seed = -1", "corpus_seed must be >= 0, got -1"),
+    # [data] values a stage does not read are checked all the same
+    ("teacher-prep", "data", "num_examples = -5\nnum_labels = -1",
+     "num_examples = -5 leaves the training split empty"),
+    ("teacher-prep", "data", "num_labels = -1", "need at least two labels"),
+    ("finetune", "data", "num_sequences = -1", "num_sequences = -1 leaves the training split empty"),
+    ("finetune", "data", "num_sequences = 10", "num_sequences = 10 leaves the validation split empty"),
 ])
 def test_out_of_range_config_value_is_one_line_error(command, section, line, message, tmp_path,
                                                      capsys):

@@ -9,15 +9,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sparsekit import distill as distill_module, quant as quant_module
+from sparsekit import distill as distill_module, pipeline as pipeline_module, quant as quant_module
 from sparsekit import tensor as T
-from sparsekit.checkpoint import (Q8, SPARSE, checkpoint_from_model,
+from sparsekit.checkpoint import (DENSE_F32, Q8, SPARSE, checkpoint_from_model,
                                   model_from_checkpoint, serialize)
 from sparsekit.config import default_config
 from sparsekit.data import (build_synthetic_corpus, make_mlm_batch, task_minibatch,
                             task_minibatch_indices)
 from sparsekit.distill import DistillConfig, combined_loss, kd_loss
-from sparsekit.model import ConfigError, build_model, prunable_parameter_names
+from sparsekit.model import ConfigError, EncoderModel, build_model, prunable_parameter_names
+from sparsekit.optim import Adam
 from sparsekit.pipeline import (METRICS_HEADER, DivergenceError, _batch_seed, _make_task,
                                 _step_loss, _TaskTeacher, _train, run_finetune_prune_baseline,
                                 run_qat, run_student_prune, run_teacher_prep, run_transfer)
@@ -351,6 +352,85 @@ def test_no_grad_teacher_gets_no_gradient():
     T.backward(T.add(kd_loss(s_logits, t_logits, 2.0), mean(T.mul(s_logits, t_logits))))
     assert all(p.grad is None for p in teacher.parameters.values())
     assert student.parameters["layer.0.q.weight"].grad is not None
+
+
+# -- the frozen teachers --------------------------------------------------
+
+def _in_process_chain():
+    """A short teacher-prep, a task teacher from it, and the configs of a KD
+    prune and a KD transfer that read them; every record array is writable."""
+    teacher, _ = run_teacher_prep(default_config("teacher-prep", seed=1, steps=5))
+    task_teacher, _ = run_transfer(default_config("transfer", seed=3, steps=5, kd_enabled=False),
+                                   teacher)
+    prune_cfg = default_config("student-prune", seed=2, steps=4,
+                               pruning=SparsitySchedule(0.0, 0.5, 0, 2, 2, 1))
+    return teacher, task_teacher, prune_cfg, default_config("transfer", seed=4, steps=3)
+
+
+def _record_models(monkeypatch):
+    """Per MLM forward of the runs that follow, the model and whether an
+    optimizer trains it; and every task teacher built."""
+    trained, forwards, task_teachers = [], [], []
+
+    class RecordingAdam(Adam):
+        def __init__(self, parameters, *args, **kwargs):
+            super().__init__(parameters, *args, **kwargs)
+            trained.append(parameters)
+
+    class RecordingTaskTeacher(_TaskTeacher):
+        def __init__(self, *args):
+            super().__init__(*args)
+            task_teachers.append(self.model)
+
+    def forward_mlm(model, batch, real=EncoderModel.forward_mlm):
+        forwards.append((model, any(model.parameters is p for p in trained)))
+        return real(model, batch)
+
+    monkeypatch.setattr(pipeline_module, "Adam", RecordingAdam)
+    monkeypatch.setattr(pipeline_module, "_TaskTeacher", RecordingTaskTeacher)
+    monkeypatch.setattr(EncoderModel, "forward_mlm", forward_mlm)
+    return trained, forwards, task_teachers
+
+
+def test_frozen_teachers_share_their_checkpoint_read_only(monkeypatch):
+    """The prune stage's teacher and a task teacher view their checkpoint's
+    dense records, read-only; the student trains on its own copy."""
+    teacher_ckpt, task_teacher_ckpt, prune_cfg, transfer_cfg = _in_process_chain()
+    trained, forwards, task_teachers = _record_models(monkeypatch)
+    sparse, _ = run_student_prune(prune_cfg, teacher_ckpt)
+    run_transfer(transfer_cfg, sparse, teacher_ckpt=task_teacher_ckpt)
+    teacher = next(model for model, is_student in forwards if not is_student)
+    for model, ckpt, student in ((teacher, teacher_ckpt, trained[0]),
+                                 (task_teachers[0], task_teacher_ckpt, trained[1])):
+        shared = 0
+        for name, p in model.parameters.items():
+            rec = ckpt.tensors[name]
+            assert not p.values.flags.writeable
+            if rec.storage == DENSE_F32:
+                assert np.shares_memory(p.values, rec.payload)
+                shared += 1
+            assert not any(np.shares_memory(p.values, q.values) for q in student.values())
+        assert shared > len(model.parameters) // 2
+        with pytest.raises(ValueError, match="read-only"):
+            model.parameters["layer.0.q.weight"].values[0, 0] = 0.0
+
+
+def test_stages_leave_their_teacher_checkpoints_unchanged():
+    teacher_ckpt, task_teacher_ckpt, prune_cfg, transfer_cfg = _in_process_chain()
+    before = serialize(teacher_ckpt), serialize(task_teacher_ckpt)
+    sparse, _ = run_student_prune(prune_cfg, teacher_ckpt)
+    run_transfer(transfer_cfg, sparse, teacher_ckpt=task_teacher_ckpt)
+    assert (serialize(teacher_ckpt), serialize(task_teacher_ckpt)) == before
+
+
+def test_kd_prune_step_runs_the_teacher_before_the_student(monkeypatch, teacher_ckpt):
+    """The teacher's activations are freed before the student's tape exists;
+    the validation forward is the student's alone."""
+    _, forwards, _ = _record_models(monkeypatch)
+    cfg = default_config("student-prune", seed=2, steps=4,
+                         pruning=SparsitySchedule(0.0, 0.5, 0, 2, 2, 1))
+    run_student_prune(cfg, teacher_ckpt)
+    assert [is_student for _, is_student in forwards] == [False, True] * cfg.steps + [True]
 
 
 # -- the MLM step at the masked rows against the full-sequence oracle --------

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 from typing import Optional
 
 from .data import _split_point
@@ -124,18 +124,23 @@ def _parse_bool(v: str) -> bool:
     return _BOOL[v.lower()]
 
 
+_PARSE_FIELD = {"int": int, "float": float, "bool": _parse_bool}
+
+
+def _fields_section(cls, skip=()) -> dict:
+    return {f.name: _PARSE_FIELD[f.type] for f in fields(cls) if f.name not in skip}
+
+
+# [run], [optimizer] and [schedule] group StageConfig fields under other names
 _SCHEMA = {
     "run": {"stage": str, "steps": int, "batch_size": int, "seq_len": int,
             "seed": int, "log_every": int, "kd": _parse_bool, "lrr": _parse_bool},
-    "model": {"num_layers": int, "hidden": int, "heads": int, "ffn_dim": int,
-              "vocab": int, "max_seq": int, "has_pooler": _parse_bool},
+    "model": _fields_section(ModelConfig, skip=("head_kind", "num_labels")),
     "optimizer": {"lr": float, "weight_decay": float},
     "schedule": {"warmup_steps": int},
-    "distill": {"temperature": float, "lambda_pt": float, "lambda_kd": float},
-    "pruning": {"initial_sparsity": float, "final_sparsity": float, "start_step": int,
-                "policy_end_step": int, "end_step": int, "interval": int},
-    "data": {"corpus_seed": int, "num_sequences": int, "num_examples": int,
-             "num_labels": int},
+    "distill": _fields_section(DistillConfig),
+    "pruning": _fields_section(SparsitySchedule),
+    "data": _fields_section(DataConfig),
 }
 
 # [run] keys whose StageConfig field has another name

@@ -12,7 +12,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import Checkpoint, checkpoint_from_model, model_from_checkpoint
+from .checkpoint import (Checkpoint, checkpoint_from_model, deserialize, model_from_checkpoint,
+                         serialize)
 from .config import StageConfig
 from .data import (TaskDataset, build_synthetic_corpus, make_mlm_batch, make_task_dataset,
                    task_minibatch, task_minibatch_indices)
@@ -319,3 +320,33 @@ def run_finetune_prune_baseline(cfg: StageConfig, dense_ckpt: Checkpoint,
     _expect_stage(cfg, "finetune-prune-baseline")
     return _train_task(cfg, dense_ckpt, teacher_ckpt)
 
+
+# -- the stage graph --------------------------------------------------------
+
+# node -> (runner's name, (start checkpoint node[, task teacher node])), in run order
+CHAIN = {
+    "teacher-prep": ("run_teacher_prep", ()),
+    "task-teacher": ("run_transfer", ("teacher-prep",)),
+    "prune": ("run_student_prune", ("teacher-prep",)),
+    "transfer": ("run_transfer", ("prune", "task-teacher")),
+    "qat": ("run_qat", ("transfer", "task-teacher")),
+    "baseline": ("run_finetune_prune_baseline", ("teacher-prep", "task-teacher")),
+}
+
+
+def run_chain(cfgs: Dict[str, StageConfig], given: Optional[Dict[str, Checkpoint]] = None
+              ) -> Dict[str, Tuple[Checkpoint, RunMetrics]]:
+    """Run, in CHAIN order, every node that `cfgs` configures, on the outputs
+    of earlier nodes or the checkpoints in `given`; return {node: (checkpoint,
+    metrics)}. A later node reads each output through serialize/deserialize,
+    as through the CLI's files. A missing task teacher is None."""
+    ckpts, runs = dict(given or {}), {}
+    for node, (runner, inputs) in CHAIN.items():
+        if node not in cfgs:
+            continue
+        if inputs and inputs[0] not in ckpts:
+            raise ConfigError(f"{node} needs a {inputs[0]} checkpoint")
+        # looked up at call time, so that a patch of a runner applies here too
+        runs[node] = globals()[runner](cfgs[node], *(ckpts.get(n) for n in inputs))
+        ckpts[node] = deserialize(serialize(runs[node][0]))
+    return runs

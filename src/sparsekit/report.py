@@ -58,6 +58,8 @@ def compression_report(ckpt: Checkpoint) -> CompressionReport:
                               1.0 - nnz / rec.size, rec.bits()))
         header_total += rec.header_bytes()
         nonzero += nnz
+    if not rows:
+        raise ContractError("compression report: the checkpoint has no prunable weights")
     dense_total = sum(r.dense_bytes for r in rows)
     payload_total = sum(r.payload_bytes for r in rows)
     bitmap_total = sum(r.bitmap_bytes for r in rows)

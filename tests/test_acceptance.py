@@ -19,8 +19,7 @@ from sparsekit.checkpoint import (Checkpoint, checkpoint_from_model,
 from sparsekit.config import default_config
 from sparsekit.distill import DistillConfig, combined_loss, kd_loss
 from sparsekit.model import ModelConfig, build_model, prunable_parameter_names
-from sparsekit.pipeline import (run_qat, run_student_prune, run_teacher_prep,
-                                run_transfer)
+from sparsekit.pipeline import run_chain, run_student_prune, run_transfer
 from sparsekit.pruning import SparsitySchedule, prune_step, target_sparsity
 from sparsekit.quant import activation_qparams, dequantize, fake_quant, weight_qparams
 from sparsekit.report import compression_report, payload_size_ratio, schedule_export
@@ -310,22 +309,20 @@ def _roundtrip_bit_exact(ckpt):
 @criterion(9, "end-to-end pipeline")
 def test_criterion_09_pipeline():
     start = time.perf_counter()
-    teacher, _ = run_teacher_prep(default_config("teacher-prep", seed=91))
-    sparse, _ = run_student_prune(default_config("student-prune", seed=92), teacher)
-    task_teacher, _ = run_transfer(default_config("transfer", seed=93, kd_enabled=False),
-                                   teacher)
-    finetuned, _ = run_transfer(default_config("transfer", seed=94), sparse,
-                                teacher_ckpt=task_teacher)
-    quantized, _ = run_qat(default_config("qat", seed=95), finetuned,
-                           teacher_ckpt=task_teacher)
+    runs = run_chain({"teacher-prep": default_config("teacher-prep", seed=91),
+                      "prune": default_config("student-prune", seed=92),
+                      "task-teacher": default_config("transfer", seed=93, kd_enabled=False),
+                      "transfer": default_config("transfer", seed=94),
+                      "qat": default_config("qat", seed=95)})
     elapsed = time.perf_counter() - start
     assert elapsed < 600.0
 
+    sparse = runs["prune"][0]
     for name in prunable_parameter_names(sparse.model_config):
         w = sparse.tensors[name].to_dense()
         assert (w == 0).sum() == int(np.floor(0.9 * w.size))
 
-    for ckpt in (teacher, sparse, task_teacher, finetuned, quantized):
+    for ckpt, _ in runs.values():
         assert _roundtrip_bit_exact(ckpt)
 
 
@@ -366,19 +363,12 @@ def test_criterion_10_ablations(teacher_ckpt, task_teacher_ckpt):
 # -- 11: determinism -----------------------------------------------------------------
 
 @criterion(11, "determinism")
-def test_criterion_11_determinism(teacher_ckpt, sparse_ckpt, task_teacher_ckpt,
-                                  finetuned_ckpt):
-    runs = [
-        lambda: run_teacher_prep(default_config("teacher-prep", seed=111)),
-        lambda: run_student_prune(default_config("student-prune", seed=112),
-                                  teacher_ckpt),
-        lambda: run_transfer(default_config("transfer", seed=113), sparse_ckpt,
-                             teacher_ckpt=task_teacher_ckpt),
-        lambda: run_qat(default_config("qat", seed=114), finetuned_ckpt,
-                        teacher_ckpt=task_teacher_ckpt),
-    ]
-    for run in runs:
-        ckpt_a, metrics_a = run()
-        ckpt_b, metrics_b = run()
+def test_criterion_11_determinism(task_teacher_ckpt):
+    cfgs = {"teacher-prep": default_config("teacher-prep", seed=111),
+            "prune": default_config("student-prune", seed=112),
+            "transfer": default_config("transfer", seed=113),
+            "qat": default_config("qat", seed=114)}
+    runs_a, runs_b = (run_chain(cfgs, {"task-teacher": task_teacher_ckpt}) for _ in range(2))
+    for (ckpt_a, metrics_a), (ckpt_b, metrics_b) in zip(runs_a.values(), runs_b.values()):
         assert serialize(ckpt_a) == serialize(ckpt_b)
         assert metrics_a.to_csv_text() == metrics_b.to_csv_text()

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from sparsekit.checkpoint import (FormatError, checkpoint_from_model, load_checkpoint,
-                                  save_checkpoint)
+                                  save_checkpoint, serialize)
 from sparsekit.cli import main
-from sparsekit.config import _SCHEMA
+from sparsekit.config import _SCHEMA, load_config
 from sparsekit.model import ConfigError, DataError, ModelConfig, build_model
+from sparsekit.pipeline import run_chain
 from sparsekit.tensor import ContractError, ShapeError, SparsekitError, UnsupportedPrimitiveError
 
 SMALL_MODEL = """
@@ -80,6 +81,16 @@ def test_qat_command(workdir, capsys):
     assert any(rec.storage == 2 for rec in ckpt.tensors.values())
 
 
+def test_cli_chain_matches_run_chain(workdir):
+    """The CLI's files hold run_chain's bytes: stages communicate only through
+    checkpoints, and a kd-off stage handed no task teacher runs without one."""
+    files = {"teacher-prep": ("teacher", "teacher"), "prune": ("prune", "sparse"),
+             "transfer": ("transfer", "finetuned"), "qat": ("qat", "quant")}
+    cfgs = {node: load_config(workdir / f"{cfg}.cfg") for node, (cfg, _) in files.items()}
+    for node, (ckpt, _) in run_chain(cfgs).items():
+        assert serialize(ckpt) == (workdir / f"{files[node][1]}.ckpt").read_bytes(), node
+
+
 def test_report_command(workdir, capsys):
     rc = main(["report", str(workdir / "quant.ckpt"),
                "--compare", str(workdir / "teacher.ckpt")])
@@ -114,6 +125,17 @@ def test_report_compare_fully_pruned_is_one_line_error(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: payload size ratio") and err.count("\n") == 1
+
+
+def test_report_without_prunable_weights_is_one_line_error(tmp_path, capsys):
+    cfg, ckpt = tmp_path / "zero.cfg", str(tmp_path / "zero.ckpt")
+    cfg.write_text("[run]\nstage = teacher-prep\nsteps = 2\n[model]\nnum_layers = 0\n"
+                   "has_pooler = false\n")
+    assert main(["teacher-prep", "--config", str(cfg), "--out", ckpt]) == 0
+    capsys.readouterr()
+    assert main(["report", ckpt]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_schedule_export_command(workdir, capsys):

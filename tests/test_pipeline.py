@@ -20,23 +20,25 @@ from sparsekit.distill import DistillConfig, combined_loss, kd_loss
 from sparsekit.model import ConfigError, EncoderModel, build_model, prunable_parameter_names
 from sparsekit.optim import Adam
 from sparsekit.pipeline import (METRICS_HEADER, DivergenceError, _batch_seed, _make_task,
-                                _step_loss, _TaskTeacher, _train, run_finetune_prune_baseline,
-                                run_qat, run_student_prune, run_teacher_prep, run_transfer)
+                                _step_loss, _TaskTeacher, _train, run_chain,
+                                run_finetune_prune_baseline, run_qat, run_student_prune,
+                                run_teacher_prep, run_transfer)
 from sparsekit.pruning import SparsitySchedule, target_sparsity
 from sparsekit.tensor import SparsekitError
 
 from oracles import astype, mean
+
+STAGE_RUNNERS = {"student-prune": run_student_prune, "transfer": run_transfer, "qat": run_qat,
+                 "finetune-prune-baseline": run_finetune_prune_baseline}
 
 
 def _zero_set(ckpt, name):
     return frozenset(np.flatnonzero(ckpt.tensors[name].to_dense().reshape(-1) == 0))
 
 
-def test_teacher_prep_learns(teacher_ckpt):
-    assert teacher_ckpt.stage == "teacher-prep"
-    first_loss = None
-    cfg = default_config("teacher-prep", seed=1)
-    ckpt, metrics = run_teacher_prep(cfg)
+def test_teacher_prep_learns(default_chain):
+    ckpt, metrics = default_chain["teacher-prep"]
+    assert ckpt.stage == "teacher-prep"
     first_loss = metrics.rows[0][-1]
     assert metrics.summary["final_train_loss"] < first_loss
     assert metrics.summary["val_loss"] < first_loss
@@ -77,8 +79,7 @@ def test_student_prune_hits_exact_sparsity(sparse_ckpt):
 def test_student_prune_logs_schedule(stage, sparse_ckpt, teacher_ckpt):
     cfg = default_config(stage, seed=2, steps=30, kd_enabled=stage == "student-prune",
                          pruning=SparsitySchedule(0.0, 0.5, 0, 20, 25, 1))
-    run = run_student_prune if stage == "student-prune" else run_finetune_prune_baseline
-    _, metrics = run(cfg, teacher_ckpt)
+    _, metrics = STAGE_RUNNERS[stage](cfg, teacher_ckpt)
     assert len(metrics.rows) == 30
     for row in metrics.rows:
         t, _, target, actual = row[0], row[1], row[2], row[3]
@@ -94,8 +95,7 @@ def test_pruning_meets_target_for_any_interval(stage, interval, teacher_ckpt):
     zeros also when `interval` does not divide the pruning window."""
     cfg = default_config(stage, seed=2, steps=30, kd_enabled=stage == "student-prune",
                          pruning=SparsitySchedule(0.0, 0.9, 0, 15, 20, interval))
-    run = run_student_prune if stage == "student-prune" else run_finetune_prune_baseline
-    ckpt, _ = run(cfg, teacher_ckpt)
+    ckpt, _ = STAGE_RUNNERS[stage](cfg, teacher_ckpt)
     for name in prunable_parameter_names(ckpt.model_config):
         w = ckpt.tensors[name].to_dense()
         assert int((w == 0).sum()) == int(np.floor(0.9 * w.size)), name
@@ -111,12 +111,10 @@ def test_student_prune_encoder_mismatch(teacher_ckpt):
 
 @pytest.mark.parametrize("stage", ["transfer", "qat", "finetune-prune-baseline"])
 def test_task_stage_encoder_mismatch(stage, sparse_ckpt):
-    run = {"transfer": run_transfer, "qat": run_qat,
-           "finetune-prune-baseline": run_finetune_prune_baseline}[stage]
     cfg = default_config(stage, seed=4, kd_enabled=False)
     cfg = replace(cfg, model=replace(cfg.model, hidden=64))
     with pytest.raises(ConfigError, match="mismatch on hidden: 64 vs 32"):
-        run(cfg, sparse_ckpt)
+        STAGE_RUNNERS[stage](cfg, sparse_ckpt)
 
 
 def test_transfer_locks_pattern(sparse_ckpt, finetuned_ckpt):
@@ -133,10 +131,8 @@ def test_transfer_reaches_usable_accuracy(finetuned_ckpt):
 
 @pytest.mark.parametrize("stage", ["transfer", "qat", "finetune-prune-baseline"])
 def test_transfer_needs_teacher_when_kd_on(stage, sparse_ckpt):
-    run = {"transfer": run_transfer, "qat": run_qat,
-           "finetune-prune-baseline": run_finetune_prune_baseline}[stage]
     with pytest.raises(ConfigError, match=f"{stage} with distillation needs a task teacher"):
-        run(default_config(stage, seed=4), sparse_ckpt)
+        STAGE_RUNNERS[stage](default_config(stage, seed=4), sparse_ckpt)
 
 
 # The task teacher's head is used as it is stored, so it must classify the
@@ -145,15 +141,13 @@ def test_transfer_needs_teacher_when_kd_on(stage, sparse_ckpt):
 @pytest.mark.parametrize("stage", ["transfer", "qat", "finetune-prune-baseline"])
 def test_task_teacher_must_classify_the_task(stage, teacher, teacher_ckpt, sparse_ckpt,
                                              task_teacher_ckpt):
-    run = {"transfer": run_transfer, "qat": run_qat,
-           "finetune-prune-baseline": run_finetune_prune_baseline}[stage]
     cfg = default_config(stage, seed=4)
     cfg = replace(cfg, data=replace(cfg.data, num_labels=4))
     ckpt, head = {"mlm": (teacher_ckpt, "teacher-prep checkpoint has head_kind=mlm"),
                   "3-label": (task_teacher_ckpt,
                               "transfer checkpoint has head_kind=classify, num_labels=3")}[teacher]
     with pytest.raises(ConfigError, match=f"task teacher must be a 4-label classifier; the {head}"):
-        run(cfg, sparse_ckpt, teacher_ckpt=ckpt)
+        STAGE_RUNNERS[stage](cfg, sparse_ckpt, teacher_ckpt=ckpt)
 
 
 def test_qat_exports_q8(qat_ckpt):
@@ -191,13 +185,11 @@ def test_baseline_runs_and_prunes(teacher_ckpt, task_teacher_ckpt):
 def test_task_stage_honours_distill_weights(stage, teacher_ckpt, task_teacher_ckpt):
     """A KD task stage trains on the [distill]-weighted sum of the hard and
     soft losses, as the MLM stages do, and logs that sum as loss_total."""
-    run = {"transfer": run_transfer, "qat": run_qat,
-           "finetune-prune-baseline": run_finetune_prune_baseline}[stage]
     pruning = SparsitySchedule(0.0, 0.5, 0, 5, 10, 1) if stage == "finetune-prune-baseline" \
         else None
     cfg = default_config(stage, seed=12, steps=20, pruning=pruning,
                          distill=DistillConfig(temperature=2.0, lambda_pt=0.5, lambda_kd=0.5))
-    _, metrics = run(cfg, teacher_ckpt, teacher_ckpt=task_teacher_ckpt)
+    _, metrics = STAGE_RUNNERS[stage](cfg, teacher_ckpt, teacher_ckpt=task_teacher_ckpt)
     half = np.float32(0.5)
     for step, _, _, _, l_pt, l_kd, total in metrics.rows:
         assert total == float(half * np.float32(l_pt) + half * np.float32(l_kd)), step
@@ -307,12 +299,7 @@ def test_evaluation_builds_no_tape(stage, monkeypatch, sparse_ckpt, finetuned_ck
                 taped.append(len(backwards) == cfg.steps)
             return real(values, parents, backward_fn)
         monkeypatch.setattr(module, "_node", node)
-    if stage == "teacher-prep":
-        run_teacher_prep(cfg)
-    elif stage == "transfer":
-        run_transfer(cfg, sparse_ckpt)
-    else:
-        run_qat(cfg, finetuned_ckpt)
+    run_chain({stage: cfg}, {"prune": sparse_ckpt, "transfer": finetuned_ckpt})
     assert len(backwards) == cfg.steps and False in taped and True not in taped
 
 
@@ -356,15 +343,11 @@ def test_no_grad_teacher_gets_no_gradient():
 
 # -- the frozen teachers --------------------------------------------------
 
-def _in_process_chain():
-    """A short teacher-prep, a task teacher from it, and the configs of a KD
-    prune and a KD transfer that read them; every record array is writable."""
-    teacher, _ = run_teacher_prep(default_config("teacher-prep", seed=1, steps=5))
-    task_teacher, _ = run_transfer(default_config("transfer", seed=3, steps=5, kd_enabled=False),
-                                   teacher)
-    prune_cfg = default_config("student-prune", seed=2, steps=4,
-                               pruning=SparsitySchedule(0.0, 0.5, 0, 2, 2, 1))
-    return teacher, task_teacher, prune_cfg, default_config("transfer", seed=4, steps=3)
+# A short KD prune and KD transfer, run on the session's teacher and task
+# teacher, whose record arrays are all writable.
+KD_CHAIN = {"prune": default_config("student-prune", seed=2, steps=4,
+                                    pruning=SparsitySchedule(0.0, 0.5, 0, 2, 2, 1)),
+            "transfer": default_config("transfer", seed=4, steps=3)}
 
 
 def _record_models(monkeypatch):
@@ -392,13 +375,12 @@ def _record_models(monkeypatch):
     return trained, forwards, task_teachers
 
 
-def test_frozen_teachers_share_their_checkpoint_read_only(monkeypatch):
+def test_frozen_teachers_share_their_checkpoint_read_only(monkeypatch, teacher_ckpt,
+                                                          task_teacher_ckpt):
     """The prune stage's teacher and a task teacher view their checkpoint's
     dense records, read-only; the student trains on its own copy."""
-    teacher_ckpt, task_teacher_ckpt, prune_cfg, transfer_cfg = _in_process_chain()
     trained, forwards, task_teachers = _record_models(monkeypatch)
-    sparse, _ = run_student_prune(prune_cfg, teacher_ckpt)
-    run_transfer(transfer_cfg, sparse, teacher_ckpt=task_teacher_ckpt)
+    run_chain(KD_CHAIN, {"teacher-prep": teacher_ckpt, "task-teacher": task_teacher_ckpt})
     teacher = next(model for model, is_student in forwards if not is_student)
     for model, ckpt, student in ((teacher, teacher_ckpt, trained[0]),
                                  (task_teachers[0], task_teacher_ckpt, trained[1])):
@@ -415,11 +397,9 @@ def test_frozen_teachers_share_their_checkpoint_read_only(monkeypatch):
             model.parameters["layer.0.q.weight"].values[0, 0] = 0.0
 
 
-def test_stages_leave_their_teacher_checkpoints_unchanged():
-    teacher_ckpt, task_teacher_ckpt, prune_cfg, transfer_cfg = _in_process_chain()
+def test_stages_leave_their_teacher_checkpoints_unchanged(teacher_ckpt, task_teacher_ckpt):
     before = serialize(teacher_ckpt), serialize(task_teacher_ckpt)
-    sparse, _ = run_student_prune(prune_cfg, teacher_ckpt)
-    run_transfer(transfer_cfg, sparse, teacher_ckpt=task_teacher_ckpt)
+    run_chain(KD_CHAIN, {"teacher-prep": teacher_ckpt, "task-teacher": task_teacher_ckpt})
     assert (serialize(teacher_ckpt), serialize(task_teacher_ckpt)) == before
 
 
@@ -427,8 +407,7 @@ def test_kd_prune_step_runs_the_teacher_before_the_student(monkeypatch, teacher_
     """The teacher's activations are freed before the student's tape exists;
     the validation forward is the student's alone."""
     _, forwards, _ = _record_models(monkeypatch)
-    cfg = default_config("student-prune", seed=2, steps=4,
-                         pruning=SparsitySchedule(0.0, 0.5, 0, 2, 2, 1))
+    cfg = KD_CHAIN["prune"]
     run_student_prune(cfg, teacher_ckpt)
     assert [is_student for _, is_student in forwards] == [False, True] * cfg.steps + [True]
 
@@ -674,18 +653,14 @@ GOLDEN_CHAIN = {
 
 
 def _golden_chain(teacher_ckpt, task_teacher_ckpt):
-    prune_cfg = default_config("student-prune", seed=21, steps=24,
-                               pruning=SparsitySchedule(0.0, 0.8, 0, 12, 16, 2))
-    sparse, prune_metrics = run_student_prune(prune_cfg, teacher_ckpt)
-    tuned, transfer_metrics = run_transfer(default_config("transfer", seed=22, steps=24),
-                                           sparse, teacher_ckpt=task_teacher_ckpt)
-    export, qat_metrics = run_qat(default_config("qat", seed=23, steps=16), tuned,
-                                  teacher_ckpt=task_teacher_ckpt)
-    runs = {"student-prune": (sparse, prune_metrics), "transfer": (tuned, transfer_metrics),
-            "qat": (export, qat_metrics)}
-    return {stage: (hashlib.sha256(serialize(ckpt)).hexdigest(),
-                    hashlib.sha256(metrics.to_csv_text().encode()).hexdigest())
-            for stage, (ckpt, metrics) in runs.items()}
+    cfgs = {"prune": default_config("student-prune", seed=21, steps=24,
+                                    pruning=SparsitySchedule(0.0, 0.8, 0, 12, 16, 2)),
+            "transfer": default_config("transfer", seed=22, steps=24),
+            "qat": default_config("qat", seed=23, steps=16)}
+    runs = run_chain(cfgs, {"teacher-prep": teacher_ckpt, "task-teacher": task_teacher_ckpt})
+    return {ckpt.stage: (hashlib.sha256(serialize(ckpt)).hexdigest(),
+                         hashlib.sha256(metrics.to_csv_text().encode()).hexdigest())
+            for ckpt, metrics in runs.values()}
 
 
 def test_golden_training_chain(teacher_ckpt, task_teacher_ckpt):

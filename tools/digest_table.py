@@ -11,11 +11,12 @@ its `src/`. Prints a markdown table of 31 rows: the sha256 of
   task teacher or transfer output;
 - the seed-1 `prune-wide` teacher-prep and prune.
 
-The stage configs are those `perfbench/workloads.py` builds, and each stage
-reads the previous stage's output round-tripped through
-`serialize`/`deserialize`, as the benchmark and the CLI's checkpoint files
-do. A change that claims byte-identical outputs shows this table equal
-before and after it; one that changes the arithmetic states its new table.
+The stage configs are those `perfbench/workloads.py` builds. The stages run
+through `sparsekit.pipeline.run_chain`, so each reads an earlier stage's
+output round-tripped through `serialize`/`deserialize`, as through the CLI's
+checkpoint files. A change that claims byte-identical outputs shows this
+table equal before and after it; one that changes the arithmetic states its
+new table.
 The digests depend on the BLAS kernel numpy selects for the CPU.
 """
 from __future__ import annotations
@@ -35,72 +36,50 @@ sys.dont_write_bytecode = True  # leave no cache files beside the benchmark's so
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import sparsekit as sk  # noqa: E402
-from sparsekit import pipeline as P  # noqa: E402
-from workloads import Chain, PruneWide, stage_configs  # noqa: E402
-
-def pipeline_chain(seed: int) -> tuple:
-    """The six `pipeline-default` stages in the benchmark's order; returns the
-    chain and its teacher, task teacher and transfer outputs."""
-    chain = Chain(sk, stage_configs(sk, seed))
-    teacher = chain.stage("teacher-prep", P.run_teacher_prep)
-    task_teacher = chain.stage("task-teacher", P.run_transfer, teacher)
-    sparse = chain.stage("prune", P.run_student_prune, teacher)
-    tuned = chain.stage("transfer", P.run_transfer, sparse, teacher_ckpt=task_teacher)
-    chain.stage("qat", P.run_qat, tuned, teacher_ckpt=task_teacher)
-    chain.stage("baseline", P.run_finetune_prune_baseline, teacher, teacher_ckpt=task_teacher)
-    return chain, (teacher, task_teacher, tuned)
+from sparsekit.checkpoint import serialize  # noqa: E402
+from sparsekit.pipeline import run_chain  # noqa: E402
+from workloads import PruneWide, sha, stage_configs  # noqa: E402
 
 
-def variant_rows(cfgs: dict, teacher, task_teacher, tuned) -> list:
-    """(label, digests) of the runs with one setting changed from `cfgs`."""
+def digest(ckpt, metrics) -> tuple:
+    return sha(serialize(ckpt)), sha(metrics.to_csv_text())
 
-    def interval(stage, n):
-        return replace(cfgs[stage], pruning=replace(cfgs[stage].pruning, interval=n))
+
+def variant_rows(cfgs: dict, given: dict) -> list:
+    """(label, digests) of the runs with one setting changed from `cfgs`, each
+    on the outputs in `given`."""
+
+    def interval(node, n):
+        return replace(cfgs[node], pruning=replace(cfgs[node].pruning, interval=n))
 
     runs = [
-        ("prune, interval 3", "prune", interval("prune", 3), P.run_student_prune, (teacher,), {}),
-        ("prune, interval 7", "prune", interval("prune", 7), P.run_student_prune, (teacher,), {}),
-        ("baseline, interval 3", "baseline", interval("baseline", 3),
-         P.run_finetune_prune_baseline, (teacher,), {"teacher_ckpt": task_teacher}),
-        ("baseline, interval 7", "baseline", interval("baseline", 7),
-         P.run_finetune_prune_baseline, (teacher,), {"teacher_ckpt": task_teacher}),
-        ("prune, lrr off", "prune", replace(cfgs["prune"], lrr_enabled=False),
-         P.run_student_prune, (teacher,), {}),
-        ("prune, kd off", "prune", replace(cfgs["prune"], kd_enabled=False),
-         P.run_student_prune, (teacher,), {}),
-        ("prune, log_every 7", "prune", replace(cfgs["prune"], log_every=7),
-         P.run_student_prune, (teacher,), {}),
-        ("baseline, kd off", "baseline", replace(cfgs["baseline"], kd_enabled=False),
-         P.run_finetune_prune_baseline, (teacher,), {}),
-        ("baseline, lrr off", "baseline", replace(cfgs["baseline"], lrr_enabled=False),
-         P.run_finetune_prune_baseline, (teacher,), {"teacher_ckpt": task_teacher}),
+        ("prune, interval 3", "prune", interval("prune", 3)),
+        ("prune, interval 7", "prune", interval("prune", 7)),
+        ("baseline, interval 3", "baseline", interval("baseline", 3)),
+        ("baseline, interval 7", "baseline", interval("baseline", 7)),
+        ("prune, lrr off", "prune", replace(cfgs["prune"], lrr_enabled=False)),
+        ("prune, kd off", "prune", replace(cfgs["prune"], kd_enabled=False)),
+        ("prune, log_every 7", "prune", replace(cfgs["prune"], log_every=7)),
+        ("baseline, kd off", "baseline", replace(cfgs["baseline"], kd_enabled=False)),
+        ("baseline, lrr off", "baseline", replace(cfgs["baseline"], lrr_enabled=False)),
         ("teacher-prep, log_every 3, warmup_steps 0", "teacher-prep",
-         replace(cfgs["teacher-prep"], log_every=3, warmup_steps=0), P.run_teacher_prep, (), {}),
-        ("qat, kd off", "qat", replace(cfgs["qat"], kd_enabled=False), P.run_qat, (tuned,), {}),
+         replace(cfgs["teacher-prep"], log_every=3, warmup_steps=0)),
+        ("qat, kd off", "qat", replace(cfgs["qat"], kd_enabled=False)),
     ]
-    rows = []
-    for label, stage, cfg, fn, args, kwargs in runs:
-        chain = Chain(sk, {**cfgs, stage: cfg})
-        chain.stage(stage, fn, *args, **kwargs)
-        rows.append((label, chain.digests()[stage]))
-    return rows
-
-
-def prune_wide_rows(seed: int) -> list:
-    chain = Chain(sk, stage_configs(sk, seed, **PruneWide.shape))
-    teacher = chain.stage("teacher-prep", P.run_teacher_prep)
-    chain.stage("prune", P.run_student_prune, teacher)
-    return [(f"prune-wide {seed} {k}", d) for k, d in chain.digests().items()]
+    return [(label, digest(*run_chain({node: cfg}, given)[node])) for label, node, cfg in runs]
 
 
 def digest_rows() -> list:
     rows = []
     for seed in (1, 2, 3):
-        chain, outputs = pipeline_chain(seed)
+        runs = run_chain(stage_configs(sk, seed))
+        rows += [(f"{seed} {node}", digest(*run)) for node, run in runs.items()]
         if seed == 1:
-            seed1 = (chain.cfgs, *outputs)
-        rows += [(f"{seed} {stage}", d) for stage, d in chain.digests().items()]
-    return rows + variant_rows(*seed1) + prune_wide_rows(1)
+            seed1 = {node: ckpt for node, (ckpt, _) in runs.items()}
+    wide = stage_configs(sk, 1, **PruneWide.shape)
+    wide_runs = run_chain({node: wide[node] for node in ("teacher-prep", "prune")})
+    return (rows + variant_rows(stage_configs(sk, 1), seed1)
+            + [(f"prune-wide 1 {node}", digest(*run)) for node, run in wide_runs.items()])
 
 
 def main() -> None:

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field, fields, asdict, replace
 from typing import Optional
 
-from .data import _split_point
+from .data import NUM_RESERVED, _split_point
 from .distill import DistillConfig
 from .model import ConfigError, ModelConfig
 from .pruning import SparsitySchedule
@@ -83,6 +83,12 @@ class StageConfig:
         if self.pruning is not None and self.pruning.end_step >= self.steps:
             raise ConfigError(f"pruning end_step {self.pruning.end_step} must be below "
                               f"steps {self.steps}")
+        # checked here, not only by the task builder, so that stages that build
+        # no task (teacher-prep, prune) reject it too
+        regular = self.model.vocab - NUM_RESERVED
+        if self.data.num_labels > regular:
+            raise ConfigError(f"num_labels = {self.data.num_labels} exceeds the {regular} "
+                              f"regular tokens")
 
     def digest(self) -> bytes:
         return hashlib.sha256(repr(asdict(self)).encode("utf-8")).digest()

@@ -118,12 +118,7 @@ class EncoderModel:
     def _linear(self, x: Tensor, prefix: str, quant=None) -> Tensor:
         w = self.parameters[prefix + ".weight"]
         b = self.parameters[prefix + ".bias"]
-        if quant is None:
-            return T.linear(x, w, b)
-        out = T.linear(x, quant.quantize_weight(prefix + ".weight", w), b)
-        if (prefix + ".weight") in quant.weight_names:
-            out = quant.quantize_activation(prefix + ".out", out)
-        return out
+        return T.linear(x, w, b) if quant is None else quant.linear(prefix, x, w, b)
 
     def encode(self, input_ids: np.ndarray, attention_mask: np.ndarray, quant=None,
                rows: Optional[np.ndarray] = None) -> Tensor:
@@ -183,9 +178,7 @@ class EncoderModel:
         if self.config.head_kind != "mlm":
             raise ConfigError("model has no MLM head")
         hidden = self.encode(batch.input_ids, batch.attention_mask, rows=batch.positions)
-        logits = T.linear(hidden, self.parameters["mlm_head.weight"],
-                          self.parameters["mlm_head.bias"])
-        return ForwardResult(logits, batch.targets)
+        return ForwardResult(self._linear(hidden, "mlm_head"), batch.targets)
 
     def classify_logits(self, cls: Tensor, quant=None) -> Tensor:
         """Pooler (when present) and classification head over CLS states
@@ -194,8 +187,7 @@ class EncoderModel:
             raise ConfigError("model has no classification head")
         if self.config.has_pooler:
             cls = T.gelu(self._linear(cls, "pooler", quant))
-        return T.linear(cls, self.parameters["classify_head.weight"],
-                        self.parameters["classify_head.bias"])
+        return self._linear(cls, "classify_head", quant)
 
     def forward_classify(self, batch, quant=None) -> ForwardResult:
         hidden = self.encode(batch.input_ids, batch.attention_mask, quant)

@@ -21,7 +21,8 @@ from .distill import DistillConfig, combined_loss, kd_loss
 from .model import (ConfigError, EncoderModel, ForwardResult, ModelConfig, build_model,
                     prunable_parameter_names)
 from .optim import Adam
-from .pruning import lock_pattern, prune_step, sparsity_report, target_sparsity
+from .pruning import (lock_pattern, prune_step, restore_pattern, sparsity_report,
+                      target_sparsity)
 from .quant import QatContext
 from .schedule import lr_rewound
 from .tensor import SparsekitError
@@ -188,8 +189,10 @@ def _train(cfg: StageConfig, model: EncoderModel,
                 # a non-finite input weight carries into the loss without a numpy event
                 if not math.isfinite(step_loss):
                     raise FloatingPointError(f"loss is {step_loss}")
+                opt.step(lr)
                 # pattern frozen after the last mask recomputation; regrowth before it
-                opt.step(lr, masks if sp is None or t >= sp.end_step else None)
+                if masks is not None and (sp is None or t >= sp.end_step):
+                    restore_pattern(model, masks)
                 if t % cfg.log_every == 0:
                     metrics.rows.append((t, lr, 0.0 if sp is None else target_sparsity(sp, t),
                                          sparsity_report(model).aggregate, l_pt, l_kd, step_loss))

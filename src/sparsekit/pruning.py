@@ -92,6 +92,14 @@ def lock_pattern(model) -> Dict[str, np.ndarray]:
     return masks
 
 
+def restore_pattern(model, masks: Dict[str, np.ndarray]) -> None:
+    """Set every weight outside its mask back to +0.0, in place. Called after
+    each optimizer step, it holds a frozen zero pattern: the optimizer may
+    move a pruned weight, and this undoes it before any forward reads it."""
+    for name, m in masks.items():
+        model.parameters[name].values[~m] = 0.0
+
+
 @dataclass
 class SparsityReport:
     per_tensor: Dict[str, float]

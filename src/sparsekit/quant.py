@@ -7,6 +7,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from . import tensor as T
 from .tensor import ContractError, Tensor, _node
 
 
@@ -67,7 +68,7 @@ def fake_quant(x: Tensor, qp: QuantParams) -> Tensor:
 
 
 class QatContext:
-    """Fake-quant hooks for the model forward.
+    """The quantization points of the model forward, placed by `linear`.
 
     Weights get fresh symmetric params each call; each named activation is
     quantized over the running (min, max) of every batch it has seen. When
@@ -80,10 +81,15 @@ class QatContext:
         self.ranges: Dict[str, Tuple[float, float]] = {}
         self.frozen = frozen
 
-    def quantize_weight(self, name: str, w: Tensor) -> Tensor:
-        if name not in self.weight_names:
-            return w
-        return fake_quant(w, weight_qparams(w))
+    def linear(self, prefix: str, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+        """The linear `prefix` with its quantization points: when
+        `<prefix>.weight` is in `weight_names`, the weight is fake-quantized
+        on its own symmetric grid and the output as the activation
+        `<prefix>.out`. Any other linear runs in float."""
+        if prefix + ".weight" not in self.weight_names:
+            return T.linear(x, w, b)
+        out = T.linear(x, fake_quant(w, weight_qparams(w)), b)
+        return self.quantize_activation(prefix + ".out", out)
 
     def quantize_activation(self, name: str, x: Tensor) -> Tensor:
         if not self.frozen:

@@ -7,10 +7,8 @@ verbose test listing, where the test name encodes the criterion).
 import functools
 import hashlib
 import time
-from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from sparsekit import tensor as T
 from sparsekit.checkpoint import (Checkpoint, checkpoint_from_model,

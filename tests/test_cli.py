@@ -3,7 +3,6 @@ import random
 import re
 import warnings
 
-import numpy as np
 import pytest
 
 from sparsekit.checkpoint import (FormatError, checkpoint_from_model, load_checkpoint,
@@ -267,6 +266,8 @@ def test_out_of_range_run_value_is_one_line_error(key, tmp_path, capsys):
     ("teacher-prep", "distill", "temperature = nan",
      "temperature must be positive and finite, got nan"),
     ("finetune", "data", "num_labels = 100", "num_labels = 100 exceeds the 27 regular tokens"),
+    ("teacher-prep", "data", "num_labels = 100", "num_labels = 100 exceeds the 27 regular tokens"),
+    ("prune", "data", "num_labels = 100", "num_labels = 100 exceeds the 27 regular tokens"),
     ("prune", "distill", "lambda_kd = 0", "lambda_kd = 0 leaves the teacher unused; set kd = false"),
     # schedule values are checked when the config is built, with rewinding on or off
     ("teacher-prep", "schedule", "warmup_steps = 500", "warmup_steps must lie in [0, 30], got 500"),

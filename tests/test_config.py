@@ -2,8 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from sparsekit.config import (StageConfig, default_config, load_config,
-                              parse_config_text)
+from sparsekit.config import default_config, load_config, parse_config_text
 from sparsekit.model import ConfigError
 from sparsekit.schedule import lr_base, lr_rewound
 

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from sparsekit import quant as Q
 from sparsekit import tensor as T
 from sparsekit.data import MlmBatch, TaskBatch
 from sparsekit.model import (ConfigError, DataError, ModelConfig, build_model,
@@ -225,3 +226,38 @@ def test_classify_path_bytes_pinned(shape, quantized):
         h.update(name.encode())
         h.update(p.grad.tobytes())
     assert h.hexdigest() == CLASSIFY_BYTES[shape, quantized]
+
+
+def test_qat_points_are_each_prunable_weight_and_its_output(monkeypatch):
+    """Under QAT, each prunable linear fake-quantizes its weight once and its
+    output once, as `<prefix>.out`, and embeddings and the head stay float.
+    With no weight named, logits and gradients are the float path's bytes."""
+    cfg = small_config(head_kind="classify")
+    model = build_model(cfg, seed=3)
+    rng = np.random.Generator(np.random.PCG64(7))
+    batch = TaskBatch(rng.integers(5, 100, size=(4, 8)), rng.integers(0, 3, size=4),
+                      np.ones((4, 8), dtype=np.int64))
+    seen = []
+    fake_quant = Q.fake_quant
+
+    def counted(x, qp):
+        seen.append(x)
+        return fake_quant(x, qp)
+    monkeypatch.setattr(Q, "fake_quant", counted)
+    names = prunable_parameter_names(cfg)
+    quant = QatContext(names)
+    model.forward_classify(batch, quant=quant)
+    assert len(seen) == 2 * len(names)
+    weights = [x for x in seen if any(x is p for p in model.parameters.values())]
+    assert sorted(map(id, weights)) == sorted(id(model.parameters[n]) for n in names)
+    assert sorted(quant.ranges) == sorted(n.removesuffix(".weight") + ".out" for n in names)
+
+    results = []
+    for quant in (None, QatContext(set())):
+        for p in model.parameters.values():
+            p.zero_grad()
+        fw = model.forward_classify(batch, quant=quant)
+        T.backward(fw.loss)
+        results.append([fw.logits.values.tobytes()] +
+                       [p.grad.tobytes() for p in model.parameters.values()])
+    assert results[0] == results[1]

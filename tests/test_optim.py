@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from sparsekit import optim
 from sparsekit.optim import Adam
+from sparsekit.pruning import restore_pattern
 from sparsekit.tensor import ContractError, Tensor
 
 
@@ -60,6 +63,7 @@ def test_zero_grad_skips_update():
 
 def test_masked_positions_never_move():
     params = _param(np.ones((2, 2)))
+    model = SimpleNamespace(parameters=params)
     opt = Adam(params, weight_decay=0.05)
     # build up momentum everywhere while unmasked
     for _ in range(3):
@@ -67,24 +71,14 @@ def test_masked_positions_never_move():
         opt.step(1e-2)
     # zero one position and freeze the pattern
     params["w.weight"].values[0, 0] = 0.0
-    mask = {"w.weight": np.array([[0.0, 1.0], [1.0, 1.0]], dtype=np.float32)}
+    mask = {"w.weight": np.array([[False, True], [True, True]])}
     for _ in range(10):
         params["w.weight"].grad = np.full((2, 2), 0.5, dtype=np.float32)
-        opt.step(1e-2, mask)
+        opt.step(1e-2)
+        restore_pattern(model, mask)
         # stale momentum, decay, nothing may touch the masked slot
         assert params["w.weight"].values[0, 0] == 0.0
     assert (params["w.weight"].values.reshape(-1)[1:] != 1.0).all()
-
-
-def test_masked_grad_does_not_pollute_momentum():
-    params = _param(np.ones((1, 2)))
-    opt = Adam(params)
-    mask = {"w.weight": np.array([[0.0, 1.0]], dtype=np.float32)}
-    params["w.weight"].grad = np.array([[100.0, 0.0]], dtype=np.float32)
-    opt.step(1e-2, mask)
-    m, v = _moments(opt, "w.weight")
-    assert m[0, 0] == 0.0
-    assert v[0, 0] == 0.0
 
 
 def _moments(opt, name):
@@ -95,16 +89,13 @@ def _moments(opt, name):
     return opt._m[lo:hi].reshape(shape), opt._v[lo:hi].reshape(shape)
 
 
-def _reference_step(params, state, t, lr, masks, weight_decay, b1=0.9, b2=0.999, eps=1e-8):
+def _reference_step(params, state, t, lr, weight_decay, b1=0.9, b2=0.999, eps=1e-8):
     """Adam as a loop over the parameters, one at a time."""
     bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
     for name, p in params.items():
         g = p.grad
         if g is None:
             continue
-        mask = masks[name] if masks is not None and name in masks else None
-        if mask is not None:
-            g = g * mask
         m, v = state[name]
         m *= b1
         m += (1.0 - b1) * g
@@ -113,26 +104,12 @@ def _reference_step(params, state, t, lr, masks, weight_decay, b1=0.9, b2=0.999,
         update = lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
         if weight_decay and name.endswith(".weight") and p.values.ndim == 2:
             update = update + lr * weight_decay * p.values
-        if mask is not None:
-            update = update * mask
         p.values -= update
 
 
 @pytest.mark.parametrize("run_size", [None, 1, 20])
 def test_flat_step_bit_equal_to_per_parameter_loop(run_size, monkeypatch):
-    _check_flat_step_against_loop(run_size, np.float32, monkeypatch)
-
-
-@pytest.mark.parametrize("run_size", [None, 1, 20])
-def test_flat_step_with_bool_masks_bit_equal_to_loop(run_size, monkeypatch):
-    """The bool masks that pruning makes give the bytes of the loop with
-    float32 0/1 masks, and a run whose masks are all bool keeps a bool mask."""
-    _check_flat_step_against_loop(run_size, bool, monkeypatch)
-
-
-def _check_flat_step_against_loop(run_size, mask_dtype, monkeypatch):
-    """Adam's step, given masks of `mask_dtype`, against `_reference_step`
-    with the same masks as float32."""
+    """Adam's step against `_reference_step`."""
     if run_size is not None:  # runs of one parameter each, or a few parameters
         monkeypatch.setattr(optim, "RUN_SIZE", run_size)
     rng = np.random.Generator(np.random.PCG64(3))
@@ -147,21 +124,14 @@ def _check_flat_step_against_loop(run_size, mask_dtype, monkeypatch):
     ref = {n: Tensor(v.copy(), requires_grad=True) for n, v in init.items()}
     state = {n: (np.zeros(s, np.float32), np.zeros(s, np.float32)) for n, s in shapes.items()}
     opt = Adam(flat, weight_decay=0.01)
-    mask_a = {"a.weight": (rng.random((4, 3)) > 0.5).astype(np.float32)}
-    mask_b = {"b.weight": (rng.random((3, 5)) > 0.3).astype(np.float32),
-              "a.bias": np.array([1.0, 0.0, 1.0], dtype=np.float32)}
     for t in range(1, 13):
-        masks = (None, mask_a, mask_a, mask_b)[t % 4]
-        given = None if masks is None else {n: m.astype(mask_dtype) for n, m in masks.items()}
         lr = 0.0 if t % 4 == 2 else 0.01 * t
         for n, s in shapes.items():
             g = None if (n == "b.weight" and t % 3 == 0) or (n == "emb" and t < 4) \
                 else rng.standard_normal(s).astype(np.float32)
             flat[n].grad, ref[n].grad = g, g
-        opt.step(lr, given)
-        _reference_step(ref, state, t, lr, masks, 0.01)
-        if given is not None:
-            assert all(r[-1] is None or r[-1].dtype == mask_dtype for r in opt._runs_cache), t
+        opt.step(lr)
+        _reference_step(ref, state, t, lr, 0.01)
         for n in shapes:
             assert flat[n].values.tobytes() == ref[n].values.tobytes(), (t, n)
             m, v = _moments(opt, n)
@@ -183,10 +153,3 @@ def test_mixed_parameter_dtypes_rejected():
               "b": Tensor(np.ones(2, dtype=np.float64), requires_grad=True)}
     with pytest.raises(ContractError, match="mix dtypes"):
         Adam(params)
-
-
-def test_mask_shape_mismatch_is_contract_error():
-    params = _param(np.ones((2, 2)))
-    params["w.weight"].grad = np.ones((2, 2), dtype=np.float32)
-    with pytest.raises(ContractError, match=r"mask shape \(4,\) != parameter shape \(2, 2\)"):
-        Adam(params).step(0.1, {"w.weight": np.ones(4, dtype=np.float32)})

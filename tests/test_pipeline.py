@@ -65,7 +65,6 @@ def test_teacher_rejects_wrong_stage():
 
 
 def test_student_prune_hits_exact_sparsity(sparse_ckpt):
-    cfg = default_config("student-prune", seed=2)
     names = prunable_parameter_names(sparse_ckpt.model_config)
     for name in names:
         w = sparse_ckpt.tensors[name].to_dense()
@@ -103,7 +102,6 @@ def test_pruning_meets_target_for_any_interval(stage, interval, teacher_ckpt):
 
 def test_student_prune_encoder_mismatch(teacher_ckpt):
     cfg = default_config("student-prune", seed=2)
-    from dataclasses import replace
     cfg = replace(cfg, model=replace(cfg.model, num_layers=1))
     with pytest.raises(ConfigError, match="num_layers"):
         run_student_prune(cfg, teacher_ckpt)

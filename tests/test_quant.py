@@ -3,7 +3,7 @@ import pytest
 
 from sparsekit.quant import (QatContext, QuantParams, activation_qparams, dequantize,
                              fake_quant, quantize_ints, weight_qparams)
-from sparsekit.tensor import ContractError, Tensor, backward
+from sparsekit.tensor import ContractError, Tensor, backward, linear
 
 
 def test_weight_qparams_basic():
@@ -103,12 +103,21 @@ def test_fake_quant_ste_gradient():
 
 def test_qat_context_weight_gating():
     ctx = QatContext(weight_names={"a.weight"})
-    w = Tensor(np.array([0.3, -0.6], dtype=np.float32))
-    out = ctx.quantize_weight("a.weight", w)
-    assert not np.array_equal(out.values, w.values)  # 0.3 is off the grid
-    np.testing.assert_array_equal(out.values, fake_quant(w, weight_qparams(w)).values)
-    skipped = ctx.quantize_weight("b.weight", w)
-    assert skipped is w
+    x = Tensor(np.array([[1.0, -2.0], [0.5, 3.0]], dtype=np.float32))
+    w = Tensor(np.array([[0.3, -0.6], [0.2, 0.7]], dtype=np.float32))
+    b = Tensor(np.array([0.1, -0.1], dtype=np.float32))
+    wq = fake_quant(w, weight_qparams(w))
+    assert not np.array_equal(wq.values, w.values)  # 0.3 is off the grid
+    out = ctx.linear("a", x, w, b)
+    pre = linear(x, wq, b)
+    lo, hi = float(pre.values.min()), float(pre.values.max())
+    assert ctx.ranges == {"a.out": (lo, hi)}
+    np.testing.assert_array_equal(out.values,
+                                  fake_quant(pre, activation_qparams(lo, hi)).values)
+    # a linear whose weight is not named runs in float and observes nothing
+    skipped = ctx.linear("b", x, w, b)
+    assert skipped.values.tobytes() == linear(x, w, b).values.tobytes()
+    assert list(ctx.ranges) == ["a.out"]
 
 
 def test_qat_context_observers_update_then_freeze():

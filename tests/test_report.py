@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from sparsekit.checkpoint import (Checkpoint, checkpoint_from_model,
-                                  dense_record, q8_record, sparse_record)
+from sparsekit.checkpoint import Checkpoint, checkpoint_from_model, dense_record, q8_record
 from sparsekit.config import default_config
 from sparsekit.model import ConfigError, ModelConfig, build_model, prunable_parameter_names
 from sparsekit.pruning import SparsitySchedule

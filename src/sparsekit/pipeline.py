@@ -30,7 +30,7 @@ from .tensor import SparsekitError
 METRICS_HEADER = "step,lr,target_sparsity,actual_sparsity,loss_pt,loss_kd,loss_total"
 
 # Train-split rows per teacher encode when a task teacher's cache is built;
-# bounds the size of one forward's activations.
+# bounds the activations alive during the build to one such forward's.
 TEACHER_CHUNK_ROWS = 64
 
 
@@ -71,9 +71,10 @@ class _TaskTeacher:
     """The frozen task teacher of one stage, with its CLS states cached.
 
     The encoder runs once over the train split, tape-free and in chunks of
-    TEACHER_CHUNK_ROWS rows, and keeps only each row's CLS hidden state.
-    Each step then runs just the pooler and head on the rows the minibatch
-    drew.
+    TEACHER_CHUNK_ROWS rows. Each chunk's CLS hidden states are copied into
+    the cache, so its last-layer output is freed before the next chunk
+    encodes. Each step then runs just the pooler and head on the rows the
+    minibatch drew.
 
     The cache stops at the CLS state because that is the last point where a
     row's value does not depend on its batch-mates. `linear` runs one 2-D
@@ -106,11 +107,11 @@ class _TaskTeacher:
                               f"num_labels={cfg.num_labels}")
         self.model = model_from_checkpoint(ckpt, frozen=True)
         ids, mask = task.train.input_ids, task.train.attention_mask
+        self.cls = np.empty((ids.shape[0], cfg.hidden), dtype=np.float32)
         with T.no_grad():
-            self.cls = np.concatenate([
-                self.model.encode(ids[i:i + TEACHER_CHUNK_ROWS],
-                                  mask[i:i + TEACHER_CHUNK_ROWS]).values[:, 0]
-                for i in range(0, ids.shape[0], TEACHER_CHUNK_ROWS)])
+            for i in range(0, ids.shape[0], TEACHER_CHUNK_ROWS):
+                chunk = slice(i, i + TEACHER_CHUNK_ROWS)
+                self.cls[chunk] = self.model.encode(ids[chunk], mask[chunk]).values[:, 0]
 
     def logits(self, rows: np.ndarray) -> T.Tensor:
         with T.no_grad():

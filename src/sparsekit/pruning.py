@@ -66,6 +66,15 @@ def _magnitude_mask(w: np.ndarray, ratio: float) -> np.ndarray:
     return (~pruned).reshape(w.shape)
 
 
+def _zero_outside(w: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write `np.where(m, w, 0)` into `out` as one bitwise AND of w's bits with
+    m widened to all-ones or zero: the same bits for every value, -0.0 and NaN
+    included, without a per-element branch."""
+    u = f"u{w.itemsize}"
+    np.bitwise_and(w.view(u), np.negative(m, dtype=u), out=out.view(u))
+    return out
+
+
 def prune_step(model, mask_set: Optional[Dict[str, np.ndarray]],
                ratio: float) -> Dict[str, np.ndarray]:
     """Recompute masks from current magnitudes and hard-zero pruned weights.
@@ -77,8 +86,8 @@ def prune_step(model, mask_set: Optional[Dict[str, np.ndarray]],
     for name in model.prunable_parameters():
         p = model.parameters[name]
         m = _magnitude_mask(p.values, ratio)
-        # np.where instead of w*m so pruned entries become +0.0, not -0.0
-        p.values = np.where(m, p.values, np.float32(0.0)).astype(p.values.dtype, copy=False)
+        # not w*m, which makes -0.0 of a pruned negative and NaN of a pruned inf
+        p.values = _zero_outside(p.values, m, np.empty_like(p.values))
         masks[name] = m
     return masks
 
@@ -97,7 +106,8 @@ def restore_pattern(model, masks: Dict[str, np.ndarray]) -> None:
     each optimizer step, it holds a frozen zero pattern: the optimizer may
     move a pruned weight, and this undoes it before any forward reads it."""
     for name, m in masks.items():
-        model.parameters[name].values[~m] = 0.0
+        w = model.parameters[name].values
+        _zero_outside(w, m, w)
 
 
 @dataclass
@@ -115,7 +125,7 @@ def sparsity_report(model) -> SparsityReport:
     total = 0
     for name in model.prunable_parameters():
         w = model.parameters[name].values
-        z = w.size - int(np.count_nonzero(w))
+        z = w.size - int(np.count_nonzero(w != 0))  # counting bools is faster than floats
         per_tensor[name] = z / w.size
         zeros += z
         total += w.size

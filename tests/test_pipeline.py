@@ -19,8 +19,9 @@ from sparsekit.data import (build_synthetic_corpus, make_mlm_batch, task_minibat
 from sparsekit.distill import DistillConfig, combined_loss, kd_loss
 from sparsekit.model import ConfigError, EncoderModel, build_model, prunable_parameter_names
 from sparsekit.optim import Adam
-from sparsekit.pipeline import (METRICS_HEADER, DivergenceError, _batch_seed, _make_task,
-                                _step_loss, _TaskTeacher, _train, run_chain,
+from sparsekit.pipeline import (METRICS_HEADER, TEACHER_CHUNK_ROWS, DivergenceError,
+                                _batch_seed, _make_task, _step_loss, _TaskTeacher, _train,
+                                run_chain,
                                 run_finetune_prune_baseline, run_qat, run_student_prune,
                                 run_teacher_prep, run_transfer)
 from sparsekit.pruning import SparsitySchedule, target_sparsity
@@ -633,6 +634,37 @@ def test_cached_teacher_logits_match_forward_wide():
     for batch_size in (16, 1):
         cfg = replace(base, model=model_cfg, batch_size=batch_size, seq_len=16)
         _assert_cached_teacher_matches_forward(cfg, teacher)
+
+
+def test_task_teacher_cache_build_holds_one_chunk_at_a_time(monkeypatch, task_teacher_ckpt):
+    """When a chunk's encode starts, no earlier chunk's output array is
+    alive, and the cache has the bytes of every chunk's CLS states
+    concatenated."""
+    task = _make_task(default_config("transfer", seed=4))
+    encode = EncoderModel.encode
+    outputs, alive = [], []
+
+    def recording_encode(self, *args, **kwargs):
+        alive.append(sum(ref() is not None for ref in outputs))
+        out = encode(self, *args, **kwargs)
+        owner = out.values
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        outputs.append(weakref.ref(owner))
+        return out
+
+    monkeypatch.setattr(EncoderModel, "encode", recording_encode)
+    cls = _TaskTeacher(task_teacher_ckpt, task).cls
+    monkeypatch.undo()
+    ids, mask = task.train.input_ids, task.train.attention_mask
+    starts = range(0, ids.shape[0], TEACHER_CHUNK_ROWS)
+    assert len(starts) > 1 and alive == [0] * len(starts)
+    model = model_from_checkpoint(task_teacher_ckpt, frozen=True)
+    with T.no_grad():
+        want = np.concatenate([model.encode(ids[i:i + TEACHER_CHUNK_ROWS],
+                                            mask[i:i + TEACHER_CHUNK_ROWS]).values[:, 0]
+                               for i in starts])
+    assert cls.dtype == want.dtype and cls.shape == want.shape and cls.tobytes() == want.tobytes()
 
 
 # sha256 of serialize(ckpt) and of the metrics CSV for each stage of a short

@@ -1,10 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from sparsekit.model import ModelConfig, build_model
 from sparsekit.pruning import (SparsitySchedule, _magnitude_mask, lock_pattern,
-                               prune_step, sparsity_report, target_sparsity)
-from sparsekit.tensor import ContractError
+                               prune_step, restore_pattern, sparsity_report, target_sparsity)
+from sparsekit.tensor import ContractError, Tensor
 
 
 SCHED = SparsitySchedule(initial_sparsity=0.0, final_sparsity=0.9,
@@ -238,3 +240,52 @@ def test_sparsity_report_counts_signed_zeros_not_nan():
     assert (rep.nonzero_count, rep.total_count) == (total - zeros, total)
     assert all(type(v) is float for v in [rep.aggregate, *rep.per_tensor.values()])
     assert type(rep.nonzero_count) is int and type(rep.total_count) is int
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.view(f"u{a.itemsize}")
+
+
+def _special_weights(dtype, seed):
+    """(20, 20) weights, half of them drawn from `specials`: -0.0, +0.0,
+    NaNs of both signs, +-inf, the smallest subnormals and the tie +-0.25."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny, 0.25, -0.25],
+                        dtype=dtype)
+    w = rng.standard_normal(400).astype(dtype)
+    at = rng.permutation(400)[:200]
+    w[at] = specials[rng.integers(0, specials.size, at.size)]
+    return w.reshape(20, 20), specials
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pruning_writes_match_where_and_bool_assignment(dtype):
+    """prune_step writes np.where(m, w, 0) and restore_pattern writes
+    w[~m] = 0.0, bit for bit, with every special value on both sides of the
+    mask: a pruned -x, -0.0 or -NaN becomes +0.0, where w * m gives -0.0,
+    and a pruned inf becomes +0.0, where w * m gives NaN. sparsity_report
+    counts -0.0 as zero and NaN as nonzero."""
+    rng = np.random.Generator(np.random.PCG64(9))
+    for ratio in (0.0, 0.3, 0.7, 0.95, 1.0):
+        w0, specials = _special_weights(dtype, int(ratio * 100))
+        params = {"w.weight": Tensor(w0.copy())}
+        model = SimpleNamespace(parameters=params, prunable_parameters=lambda: ["w.weight"])
+        m = prune_step(model, None, ratio)["w.weight"]
+        got = params["w.weight"].values
+        assert got.dtype == dtype and got.tobytes() == np.where(m, w0, dtype(0.0)).tobytes()
+
+        m = rng.random(w0.shape) < 0.5
+        for x in specials:
+            at = _bits(w0) == _bits(x)
+            assert (at & m).any() and (at & ~m).any(), x
+        want = w0.copy()
+        want[~m] = 0.0
+        params["w.weight"].values = w0.copy()
+        restore_pattern(model, {"w.weight": m})
+        assert params["w.weight"].values.tobytes() == want.tobytes()
+
+        params["w.weight"].values = w0
+        zeros = np.isin(_bits(w0), _bits(specials[:2])).sum()  # the bits of -0.0 and +0.0
+        assert sparsity_report(model).nonzero_count == w0.size - zeros

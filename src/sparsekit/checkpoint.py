@@ -85,10 +85,6 @@ class TensorRecord:
     def bitmap_bytes(self) -> int:
         return (self.size + 7) // 8 if self.bitmap is not None else 0
 
-    def header_bytes(self) -> int:
-        """The int8 scale and zero point."""
-        return 0 if self.scale is None else 8
-
 
 @dataclass
 class Checkpoint:
@@ -216,6 +212,17 @@ def _metrics_from_blob(blob: bytes) -> dict:
     return metrics
 
 
+def record_body(rec: TensorRecord) -> bytes:
+    """The bytes `serialize` writes for `rec` after its name, dims and storage kind."""
+    out = []
+    if rec.scale is not None:
+        out.append(struct.pack("<fiB", rec.scale, 0, rec.bitmap is not None))
+    if rec.bitmap is not None:
+        out += [np.packbits(rec.bitmap).tobytes(), struct.pack("<I", rec.payload.size)]
+    out.append(rec.payload.astype("<f4" if rec.scale is None else "i1").tobytes())
+    return b"".join(out)
+
+
 def serialize(ckpt: Checkpoint) -> bytes:
     out = [MAGIC, struct.pack("<H", VERSION), _pack_str(ckpt.stage),
            _pack_blob(_config_blob(ckpt.model_config)),
@@ -223,12 +230,7 @@ def serialize(ckpt: Checkpoint) -> bytes:
     for name, rec in ckpt.tensors.items():
         out.append(_pack_str(name))
         out.append(struct.pack(f"<B{len(rec.shape)}IB", len(rec.shape), *rec.shape, rec.storage))
-        if rec.scale is not None:
-            out.append(struct.pack("<fiB", rec.scale, 0, rec.bitmap is not None))
-        if rec.bitmap is not None:
-            out.append(np.packbits(rec.bitmap).tobytes())
-            out.append(struct.pack("<I", rec.payload.size))
-        out.append(rec.payload.astype("<f4" if rec.scale is None else "i1").tobytes())
+        out.append(record_body(rec))
     out.append(_pack_blob(_metrics_blob(ckpt.metrics)))
     out.append(ckpt.config_hash)
     return b"".join(out)

@@ -15,7 +15,9 @@ from .distill import DistillConfig
 from .model import ConfigError, ModelConfig
 from .pruning import SparsitySchedule
 
-STAGES = ("teacher-prep", "student-prune", "transfer", "qat", "finetune-prune-baseline")
+PRUNING_STAGES = ("student-prune", "finetune-prune-baseline")  # the rest take no [pruning]
+TASK_STAGES = ("transfer", "qat", "finetune-prune-baseline")  # classifier stages
+STAGES = ("teacher-prep", "student-prune", *TASK_STAGES)
 
 
 @dataclass(frozen=True)
@@ -58,10 +60,10 @@ class StageConfig:
     def __post_init__(self):
         if self.stage not in STAGES:
             raise ConfigError(f"unknown stage {self.stage!r}")
-        if self.stage in ("student-prune", "finetune-prune-baseline") and self.pruning is None:
-            raise ConfigError(f"stage {self.stage} requires a pruning section")
-        if self.stage in ("teacher-prep", "transfer", "qat") and self.pruning is not None:
-            raise ConfigError(f"{self.stage} takes no pruning section")
+        prunes = self.stage in PRUNING_STAGES
+        if prunes != (self.pruning is not None):
+            raise ConfigError(f"stage {self.stage} requires a pruning section" if prunes
+                              else f"{self.stage} takes no pruning section")
         if self.seq_len > self.model.max_seq:
             raise ConfigError("seq_len exceeds model max_seq")
         for name, low in (("seq_len", 2), ("steps", 1), ("batch_size", 1), ("log_every", 1),
@@ -103,12 +105,12 @@ def default_config(stage: str, seed: int = 1, **overrides) -> StageConfig:
                         head_kind="mlm", num_labels=3)
     pruning = None
     distill = DistillConfig(temperature=2.0, lambda_pt=0.5, lambda_kd=0.5)
-    if stage in ("student-prune", "finetune-prune-baseline"):
+    if stage in PRUNING_STAGES:
         pruning = SparsitySchedule(initial_sparsity=0.0, final_sparsity=0.9,
                                    start_step=0, policy_end_step=50,
                                    end_step=80, interval=1)
     steps, lr = 100, 0.01
-    if stage in ("transfer", "qat", "finetune-prune-baseline"):
+    if stage in TASK_STAGES:
         distill = DistillConfig(temperature=2.0, lambda_pt=0.0, lambda_kd=1.0)
         model = replace(model, head_kind="classify")
         if stage == "qat":
@@ -141,7 +143,7 @@ def _fields_section(cls, skip=()) -> dict:
 _SCHEMA = {
     "run": {"stage": str, "steps": int, "batch_size": int, "seq_len": int,
             "seed": int, "log_every": int, "kd": _parse_bool, "lrr": _parse_bool},
-    "model": _fields_section(ModelConfig, skip=("head_kind", "num_labels")),
+    "model": _fields_section(ModelConfig, skip=ModelConfig.HEAD_FIELDS),
     "optimizer": {"lr": float, "weight_decay": float},
     "schedule": {"warmup_steps": int},
     "distill": _fields_section(DistillConfig),

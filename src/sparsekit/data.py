@@ -1,6 +1,7 @@
 """Deterministic synthetic corpus, MLM masking, and a toy classification task."""
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import List
 
@@ -20,8 +21,6 @@ def _regular_ids(vocab_size: int) -> np.ndarray:
 
 
 def _rng(*key) -> np.random.Generator:
-    import hashlib
-
     ints = [int.from_bytes(hashlib.sha256(str(k).encode()).digest()[:8], "little")
             if isinstance(k, str) else int(k) for k in key]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(ints)))

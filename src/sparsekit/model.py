@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional
+from typing import ClassVar, Dict, List, Optional
 
 import numpy as np
 
@@ -37,6 +37,7 @@ class ModelConfig:
     has_pooler: bool = True
     head_kind: str = "mlm"  # mlm | classify
     num_labels: int = 2
+    HEAD_FIELDS: ClassVar[tuple] = ("head_kind", "num_labels")  # the rest describe the encoder
 
     def __post_init__(self):
         for name, low in (("num_layers", 0), ("hidden", 1), ("heads", 1), ("ffn_dim", 1),

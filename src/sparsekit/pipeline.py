@@ -63,7 +63,7 @@ def _make_task(cfg: StageConfig) -> TaskDataset:
 def _check_same_encoder(a, b):
     for f in fields(ModelConfig):
         x, y = getattr(a, f.name), getattr(b, f.name)
-        if f.name not in ("head_kind", "num_labels") and x != y:
+        if f.name not in ModelConfig.HEAD_FIELDS and x != y:
             raise ConfigError(f"model config mismatch on {f.name}: {x} vs {y}")
 
 

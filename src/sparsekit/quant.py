@@ -76,10 +76,10 @@ class QatContext:
     integer model.
     """
 
-    def __init__(self, weight_names, frozen: bool = False):
+    def __init__(self, weight_names):
         self.weight_names = set(weight_names)
         self.ranges: Dict[str, Tuple[float, float]] = {}
-        self.frozen = frozen
+        self.frozen = False
 
     def linear(self, prefix: str, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         """The linear `prefix` with its quantization points: when
@@ -118,7 +118,8 @@ class QatContext:
         `weight_names` needs a range for `<prefix>.out`, or that linear's
         output would run unquantized. Every range needs two finite bounds
         lo <= hi, since `activation_qparams` reads a NaN bound as 0."""
-        ctx = cls(weight_names, frozen=True)
+        ctx = cls(weight_names)
+        ctx.frozen = True
         for name in sorted(ctx.weight_names):
             key = name.removesuffix(".weight") + ".out"
             if key not in ranges:

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
-from .checkpoint import Checkpoint, FormatError, TensorRecord
+from .checkpoint import Checkpoint, FormatError, TensorRecord, record_body
 from .config import StageConfig
 from .model import ConfigError, prunable_parameter_names
 from .pruning import target_sparsity
@@ -49,25 +49,19 @@ def _encoder_records(ckpt: Checkpoint) -> Iterator[Tuple[str, TensorRecord]]:
 
 
 def compression_report(ckpt: Checkpoint) -> CompressionReport:
-    """Byte accounting over the encoder's prunable weights only."""
-    rows = []
-    header_total = nonzero = 0
-    for name, rec in _encoder_records(ckpt):
-        nnz = rec.nonzero_count()
-        rows.append(ReportRow(name, 4 * rec.size, rec.payload_bytes(), rec.bitmap_bytes(),
-                              1.0 - nnz / rec.size, rec.bits()))
-        header_total += rec.header_bytes()
-        nonzero += nnz
-    if not rows:
+    """Byte accounting over the encoder's prunable weights; on disk, by `record_body`'s length."""
+    records = list(_encoder_records(ckpt))
+    if not records:
         raise ContractError("compression report: the checkpoint has no prunable weights")
+    rows = [ReportRow(name, 4 * rec.size, rec.payload_bytes(), rec.bitmap_bytes(),
+                      1.0 - rec.nonzero_count() / rec.size, rec.bits()) for name, rec in records]
     dense_total = sum(r.dense_bytes for r in rows)
     payload_total = sum(r.payload_bytes for r in rows)
-    bitmap_total = sum(r.bitmap_bytes for r in rows)
     return CompressionReport(
         rows,
-        parameter_only_ratio=dense_total / payload_total if payload_total else 1.0,
-        on_disk_ratio=dense_total / (payload_total + bitmap_total + header_total),
-        nonzero_count=nonzero,
+        parameter_only_ratio=dense_total / payload_total if payload_total else float("inf"),
+        on_disk_ratio=dense_total / sum(len(record_body(rec)) for _, rec in records),
+        nonzero_count=sum(rec.nonzero_count() for _, rec in records),
     )
 
 

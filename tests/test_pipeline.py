@@ -697,6 +697,21 @@ def test_golden_training_chain(teacher_ckpt, task_teacher_ckpt):
     assert _golden_chain(teacher_ckpt, task_teacher_ckpt) == GOLDEN_CHAIN
 
 
+def test_run_chain_calls_a_runner_patched_onto_pipeline(monkeypatch):
+    """run_chain looks each runner up by name when it runs the node, so a
+    wrapper set on the module, as the benchmark's tracer sets one, is the one
+    called."""
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg.stage)
+        return run_teacher_prep(cfg)
+    monkeypatch.setattr(pipeline_module, "run_teacher_prep", counted)
+    runs = run_chain({"teacher-prep": default_config("teacher-prep", seed=6, steps=2)})
+    assert calls == ["teacher-prep"]
+    assert runs["teacher-prep"][0].stage == "teacher-prep"
+
+
 def test_reimport_releases_the_replaced_modules():
     """A fresh import of sparsekit, as the benchmark's set-up does, leaves
     nothing that keeps the copy it replaces alive."""

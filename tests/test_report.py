@@ -1,7 +1,11 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sparsekit.checkpoint import Checkpoint, checkpoint_from_model, dense_record, q8_record
+from sparsekit.checkpoint import (Checkpoint, checkpoint_from_model, dense_record, q8_record,
+                                  serialize, sparse_record)
 from sparsekit.config import default_config
 from sparsekit.model import ConfigError, ModelConfig, build_model, prunable_parameter_names
 from sparsekit.pruning import SparsitySchedule
@@ -53,8 +57,31 @@ def test_exact_forty_x():
 def test_on_disk_accounting():
     rep = compression_report(_exact_sparse_q8_ckpt())
     dense = sum(r.dense_bytes for r in rep.rows)
-    disk = sum(r.payload_bytes + r.bitmap_bytes for r in rep.rows) + 8 * len(rep.rows)
+    # per bitmapped int8 record: the 9-byte header (scale, zero point,
+    # has_bitmap) and the bitmap's u32 nonzero count
+    disk = sum(r.payload_bytes + r.bitmap_bytes for r in rep.rows) + 13 * len(rep.rows)
     assert rep.on_disk_ratio == pytest.approx(dense / disk)
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: dense_record("pooler.weight", v),
+    lambda v: sparse_record("pooler.weight", v),
+    lambda v: q8_record("pooler.weight", v, 1.0 / 127, with_bitmap=False),
+    lambda v: q8_record("pooler.weight", v, 1.0 / 127, with_bitmap=True),
+], ids=["dense", "sparse", "q8", "q8-bitmap"])
+def test_on_disk_bytes_are_the_bytes_serialize_writes(make):
+    vals = np.linspace(-1, 1, 64, dtype=np.float32).reshape(8, 8)
+    vals[:, :5] = 0.0
+    rec = make(vals)
+    # no layers: the pooler weight is the one prunable weight
+    cfg = ModelConfig(num_layers=0, hidden=8, heads=1, ffn_dim=8, vocab=16, max_seq=8)
+    assert prunable_parameter_names(cfg) == [rec.name]
+    ckpt = Checkpoint("quantized", cfg, {rec.name: rec})
+    # u16 name length, the name, u8 ndim, two u32 dims and the u8 storage kind
+    head = 2 + len(rec.name) + 1 + 4 * 2 + 1
+    written = len(serialize(ckpt)) - len(serialize(replace(ckpt, tensors={}))) - head
+    counted = 4 * rec.size / compression_report(ckpt).on_disk_ratio
+    assert counted == pytest.approx(written, abs=1e-9)
 
 
 def test_payload_size_ratio():
@@ -67,6 +94,17 @@ def test_payload_size_ratio():
     sparse85 = checkpoint_from_model(sparse_model, "student-prune")
     # 85% sparsity in f32 keeps 15% of the bytes... vs int8 that would be 0.375
     assert payload_size_ratio(sparse85, dense) == pytest.approx(0.15, abs=1e-9)
+
+
+def test_fully_pruned_parameter_only_ratio_is_inf():
+    model = _sized_model()
+    for name in model.prunable_parameters():
+        model.parameters[name].values[...] = 0.0
+    rep = compression_report(checkpoint_from_model(model, "student-prune"))
+    # no payload bytes at all; the bitmaps and their counts still cost bytes
+    assert rep.parameter_only_ratio == math.inf
+    assert math.isfinite(rep.on_disk_ratio)
+    assert "parameter-only compression ratio: inf" in rep.as_text()
 
 
 def test_payload_size_ratio_against_fully_pruned_is_contract_error():

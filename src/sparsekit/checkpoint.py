@@ -73,18 +73,6 @@ class TensorRecord:
         flat[self.bitmap] = values
         return flat.reshape(self.shape)
 
-    def nonzero_count(self) -> int:
-        return int(np.count_nonzero(self.payload))
-
-    def bits(self) -> int:
-        return 32 if self.scale is None else 8
-
-    def payload_bytes(self) -> int:
-        return int(self.payload.nbytes)
-
-    def bitmap_bytes(self) -> int:
-        return (self.size + 7) // 8 if self.bitmap is not None else 0
-
 
 @dataclass
 class Checkpoint:
@@ -95,37 +83,27 @@ class Checkpoint:
     config_hash: bytes = b"\x00" * 32
 
 
-def dense_record(name: str, values: np.ndarray) -> TensorRecord:
-    return TensorRecord(name, values.shape, values.astype(np.float32).reshape(-1))
-
-
-def sparse_record(name: str, values: np.ndarray) -> TensorRecord:
+def build_record(name: str, values: np.ndarray, scale: Optional[float] = None,
+                 bitmap: bool = False) -> TensorRecord:
+    """`values` as f32, or as int8 on the symmetric grid of `scale`; every
+    value in flat order, or with `bitmap` only the nonzeros (after rounding)."""
     flat = values.astype(np.float32).reshape(-1)
-    bitmap = flat != 0
-    return TensorRecord(name, values.shape, flat[bitmap], bitmap)
-
-
-def q8_record(name: str, values: np.ndarray, scale: float, with_bitmap: bool) -> TensorRecord:
-    q = quantize_ints(values.astype(np.float32).reshape(-1), weight_grid(scale)).astype(np.int8)
-    bitmap = q != 0 if with_bitmap else None
-    return TensorRecord(name, values.shape, q if bitmap is None else q[bitmap], bitmap, scale)
+    if scale is not None:
+        flat = quantize_ints(flat, weight_grid(scale)).astype(np.int8)
+    mask = flat != 0 if bitmap else None
+    return TensorRecord(name, values.shape, flat if mask is None else flat[mask], mask, scale)
 
 
 def checkpoint_from_model(model: EncoderModel, stage: str, metrics: Optional[dict] = None,
                           config_hash: bytes = b"\x00" * 32,
                           q8_names: Collection[str] = ()) -> Checkpoint:
-    """Dense by default; sparse when more than half zeros; int8 for the names
-    in `q8_names`, each with its own symmetric per-tensor scale."""
+    """f32 by default, int8 for the names in `q8_names`, each with its own
+    symmetric per-tensor scale; bitmapped when more than half zeros."""
     tensors: Dict[str, TensorRecord] = {}
     for name, p in model.parameters.items():
         vals = p.values
-        mostly_zero = float((vals == 0).mean()) > 0.5
-        if name in q8_names:
-            tensors[name] = q8_record(name, vals, weight_qparams(vals).scale, mostly_zero)
-        elif mostly_zero:
-            tensors[name] = sparse_record(name, vals)
-        else:
-            tensors[name] = dense_record(name, vals)
+        scale = weight_qparams(vals).scale if name in q8_names else None
+        tensors[name] = build_record(name, vals, scale, bitmap=float((vals == 0).mean()) > 0.5)
     return Checkpoint(stage, model.config, tensors, metrics or {}, config_hash)
 
 

@@ -14,6 +14,7 @@ from .data import NUM_RESERVED, _split_point
 from .distill import DistillConfig
 from .model import ConfigError, ModelConfig
 from .pruning import SparsitySchedule
+from .schedule import lr_base
 
 PRUNING_STAGES = ("student-prune", "finetune-prune-baseline")  # the rest take no [pruning]
 TASK_STAGES = ("transfer", "qat", "finetune-prune-baseline")  # classifier stages
@@ -85,6 +86,12 @@ class StageConfig:
         if self.pruning is not None and self.pruning.end_step >= self.steps:
             raise ConfigError(f"pruning end_step {self.pruning.end_step} must be below "
                               f"steps {self.steps}")
+        # rewinding restarts each interval at the start step's LR; at 0 the window never trains
+        w = self.pruning
+        if self.lrr_enabled and w is not None and lr_base(self, w.start_step) == 0:
+            raise ConfigError(f"lrr rewinds to LR 0: lr_base is 0 at pruning start_step "
+                              f"{w.start_step} (warmup_steps {self.warmup_steps}); start the "
+                              f"window later or set lrr = false")
         # checked here, not only by the task builder, so that stages that build
         # no task (teacher-prep, prune) reject it too
         regular = self.model.vocab - NUM_RESERVED
@@ -97,18 +104,20 @@ class StageConfig:
 
 
 def default_config(stage: str, seed: int = 1, **overrides) -> StageConfig:
-    """Desk-scale defaults: the reference step counts divided by 1000
-    (100 steps total, prune window 0-50, mask freeze at 80, interval 1),
-    batch 16, loss weights 0.5/0.5 at temperature 2."""
+    """Desk-scale defaults: the reference step counts divided by 1000 (100
+    steps; pruning stages warm up for 10, prune every 10th step of 10-50 and
+    freeze the mask at 80), batch 16, loss weights 0.5/0.5 at temperature 2."""
     model = ModelConfig(num_layers=2, hidden=32, heads=4, ffn_dim=64,
                         vocab=64, max_seq=32, has_pooler=True,
                         head_kind="mlm", num_labels=3)
-    pruning = None
+    pruning, warmup = None, 1
     distill = DistillConfig(temperature=2.0, lambda_pt=0.5, lambda_kd=0.5)
     if stage in PRUNING_STAGES:
+        # the window opens after warmup, so each rewind restarts at the full LR
         pruning = SparsitySchedule(initial_sparsity=0.0, final_sparsity=0.9,
-                                   start_step=0, policy_end_step=50,
-                                   end_step=80, interval=1)
+                                   start_step=10, policy_end_step=50,
+                                   end_step=80, interval=10)
+        warmup = 10
     steps, lr = 100, 0.01
     if stage in TASK_STAGES:
         distill = DistillConfig(temperature=2.0, lambda_pt=0.0, lambda_kd=1.0)
@@ -119,7 +128,7 @@ def default_config(stage: str, seed: int = 1, **overrides) -> StageConfig:
             steps = 200
     cfg = StageConfig(stage=stage, model=model, steps=steps, batch_size=16,
                       seq_len=16, seed=seed, lr=lr, weight_decay=0.01,
-                      warmup_steps=1, distill=distill, pruning=pruning)
+                      warmup_steps=warmup, distill=distill, pruning=pruning)
     return replace(cfg, **overrides) if overrides else cfg
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
+import numpy as np
+
 from .checkpoint import Checkpoint, FormatError, TensorRecord, record_body
 from .config import StageConfig
 from .model import ConfigError, prunable_parameter_names
@@ -14,12 +16,21 @@ from .tensor import ContractError
 
 @dataclass
 class ReportRow:
+    """One prunable weight, read off its record."""
     name: str
-    dense_bytes: int
+    size: int
     payload_bytes: int
-    bitmap_bytes: int
-    sparsity: float
+    disk_bytes: int  # what `serialize` writes after the name, dims and storage kind
+    nonzero: int
     bits: int
+
+    @property
+    def dense_bytes(self) -> int:
+        return 4 * self.size
+
+    @property
+    def sparsity(self) -> float:
+        return 1.0 - self.nonzero / self.size
 
 
 @dataclass
@@ -30,10 +41,10 @@ class CompressionReport:
     nonzero_count: int
 
     def as_text(self) -> str:
-        lines = [f"{'tensor':34s} {'dense_B':>10s} {'payload_B':>10s} {'bitmap_B':>9s} {'sparsity':>9s} {'bits':>5s}"]
+        lines = [f"{'tensor':34s} {'dense_B':>10s} {'payload_B':>10s} {'disk_B':>10s} {'sparsity':>9s} {'bits':>5s}"]
         for r in self.rows:
             lines.append(f"{r.name:34s} {r.dense_bytes:10d} {r.payload_bytes:10d} "
-                         f"{r.bitmap_bytes:9d} {r.sparsity:9.4f} {r.bits:5d}")
+                         f"{r.disk_bytes:10d} {r.sparsity:9.4f} {r.bits:5d}")
         lines.append(f"parameter-only compression ratio: {self.parameter_only_ratio:.4f}")
         lines.append(f"on-disk compression ratio:        {self.on_disk_ratio:.4f}")
         lines.append(f"nonzero encoder parameters:       {self.nonzero_count}")
@@ -49,26 +60,23 @@ def _encoder_records(ckpt: Checkpoint) -> Iterator[Tuple[str, TensorRecord]]:
 
 
 def compression_report(ckpt: Checkpoint) -> CompressionReport:
-    """Byte accounting over the encoder's prunable weights; on disk, by `record_body`'s length."""
-    records = list(_encoder_records(ckpt))
-    if not records:
+    """Byte accounting over the encoder's prunable weights, one row per
+    record; both ratios divide the rows' dense bytes by a column's sum."""
+    rows = [ReportRow(name, rec.size, rec.payload.nbytes, len(record_body(rec)),
+                      int(np.count_nonzero(rec.payload)), 8 * rec.payload.itemsize)
+            for name, rec in _encoder_records(ckpt)]
+    if not rows:
         raise ContractError("compression report: the checkpoint has no prunable weights")
-    rows = [ReportRow(name, 4 * rec.size, rec.payload_bytes(), rec.bitmap_bytes(),
-                      1.0 - rec.nonzero_count() / rec.size, rec.bits()) for name, rec in records]
-    dense_total = sum(r.dense_bytes for r in rows)
-    payload_total = sum(r.payload_bytes for r in rows)
-    return CompressionReport(
-        rows,
-        parameter_only_ratio=dense_total / payload_total if payload_total else float("inf"),
-        on_disk_ratio=dense_total / sum(len(record_body(rec)) for _, rec in records),
-        nonzero_count=sum(rec.nonzero_count() for _, rec in records),
-    )
+    dense = sum(r.dense_bytes for r in rows)
+    payload = sum(r.payload_bytes for r in rows)
+    return CompressionReport(rows, dense / payload if payload else float("inf"),
+                             dense / sum(r.disk_bytes for r in rows), sum(r.nonzero for r in rows))
 
 
 def payload_size_ratio(a: Checkpoint, b: Checkpoint) -> float:
     """Encoder payload bytes of A divided by those of B."""
-    pa = sum(rec.payload_bytes() for _, rec in _encoder_records(a))
-    pb = sum(rec.payload_bytes() for _, rec in _encoder_records(b))
+    pa = sum(rec.payload.nbytes for _, rec in _encoder_records(a))
+    pb = sum(rec.payload.nbytes for _, rec in _encoder_records(b))
     if pb == 0:
         raise ContractError("payload size ratio: the compared checkpoint has no encoder "
                             "payload bytes (every prunable weight is zero)")

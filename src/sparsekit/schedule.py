@@ -8,8 +8,12 @@ every value these functions read when it is built.
 """
 from __future__ import annotations
 
-from .config import StageConfig
+from typing import TYPE_CHECKING
+
 from .tensor import ContractError
+
+if TYPE_CHECKING:  # annotations only: the config's own check calls lr_base
+    from .config import StageConfig
 
 
 def lr_base(cfg: StageConfig, t: int) -> float:

@@ -11,9 +11,8 @@ import time
 import numpy as np
 
 from sparsekit import tensor as T
-from sparsekit.checkpoint import (Checkpoint, checkpoint_from_model,
-                                  dense_record, deserialize, q8_record,
-                                  serialize, sparse_record)
+from sparsekit.checkpoint import (Checkpoint, build_record, checkpoint_from_model,
+                                  deserialize, serialize)
 from sparsekit.config import default_config
 from sparsekit.distill import DistillConfig, combined_loss, kd_loss
 from sparsekit.model import ModelConfig, build_model, prunable_parameter_names
@@ -281,11 +280,11 @@ def _exact_ckpt(sparsity, bits, seed=0):
             assert abs(k - sparsity * flat.size) < 1e-9
             flat[:k] = 0.0
             if bits == 8:
-                tensors[name] = q8_record(name, vals, scale=1.0 / 127, with_bitmap=True)
+                tensors[name] = build_record(name, vals, 1.0 / 127, bitmap=True)
             else:
-                tensors[name] = sparse_record(name, vals)
+                tensors[name] = build_record(name, vals, bitmap=True)
         else:
-            tensors[name] = dense_record(name, vals)
+            tensors[name] = build_record(name, vals)
     return Checkpoint("quantized" if bits == 8 else "student-prune",
                       model.config, tensors)
 

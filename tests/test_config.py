@@ -16,8 +16,9 @@ def test_defaults_per_stage():
     sp = default_config("student-prune")
     assert sp.pruning is not None
     assert (sp.pruning.start_step, sp.pruning.policy_end_step,
-            sp.pruning.end_step, sp.pruning.interval) == (0, 50, 80, 1)
+            sp.pruning.end_step, sp.pruning.interval) == (10, 50, 80, 10)
     assert sp.pruning.final_sparsity == 0.9
+    assert (tp.warmup_steps, sp.warmup_steps) == (1, 10)
 
     tr = default_config("transfer")
     assert tr.model.head_kind == "classify"
@@ -57,17 +58,44 @@ def test_distillation_without_a_kd_weight_is_config_error():
 
 
 def test_lr_schedule_wiring():
-    """The rewind window is the pruning window, steps 0-80 at interval 1."""
+    """The rewind window is the pruning window, steps 10-80 at interval 10."""
     sp = default_config("student-prune")
-    for t in range(81):
-        assert lr_rewound(sp, t) == lr_base(sp, 0)
-    for t in range(81, 101):
+    for t in range(10, 81):
+        assert lr_rewound(sp, t) == lr_base(sp, 10 + (t - 10) % 10)
+    for t in [*range(10), *range(81, 101)]:
         assert lr_rewound(sp, t) == lr_base(sp, t)
     # with rewinding off the sawtooth disappears
     plain = default_config("student-prune", lrr_enabled=False)
     for t in range(101):
         assert lr_rewound(plain, t) == lr_base(plain, t)
-    assert lr_rewound(plain, 30) == pytest.approx(plain.lr * (100 - 30) / (100 - 1))
+    assert lr_rewound(plain, 30) == pytest.approx(plain.lr * (100 - 30) / (100 - 10))
+
+
+@pytest.mark.parametrize("stage", ["student-prune", "finetune-prune-baseline"])
+def test_default_prune_window_trains_at_every_step(stage):
+    """Rewinding restarts each interval at the window's first LR, which the
+    defaults put after warmup: no step of the window runs at LR 0."""
+    cfg = default_config(stage)
+    w = cfg.pruning
+    assert cfg.lrr_enabled and w.start_step >= cfg.warmup_steps and w.interval > 1
+    assert all(lr_rewound(cfg, t) > 0 for t in range(w.start_step, w.end_step + 1))
+
+
+@pytest.mark.parametrize("stage", ["student-prune", "finetune-prune-baseline"])
+def test_rewinding_to_lr_zero_is_config_error(stage):
+    """With lrr on, a window that starts where lr_base is 0 (step 0 under
+    warmup) would rewind to LR 0 every interval, so it never trains."""
+    want = (r"^lrr rewinds to LR 0: lr_base is 0 at pruning start_step 0 \(warmup_steps 10\); "
+            r"start the window later or set lrr = false$")
+    start0 = replace(default_config(stage).pruning, start_step=0)
+    with pytest.raises(ConfigError, match=want):
+        default_config(stage, pruning=start0)
+    with pytest.raises(ConfigError, match=want):
+        parse_config_text(f"[run]\nstage = {stage}\n[pruning]\nstart_step = 0\n")
+    # each way out: rewinding off, no warmup, or a window that opens after step 0
+    assert not default_config(stage, pruning=start0, lrr_enabled=False).lrr_enabled
+    assert lr_rewound(default_config(stage, pruning=start0, warmup_steps=0), 0) == 0.01
+    assert default_config(stage, pruning=replace(start0, start_step=1)).pruning.start_step == 1
 
 
 def test_digest_sensitive_to_fields():
@@ -114,7 +142,7 @@ def test_parse_full_file():
     assert cfg.model.hidden == 16 and cfg.model.ffn_dim == 32
     assert cfg.lr == 0.02 and cfg.weight_decay == 0.0
     assert cfg.pruning.final_sparsity == 0.8
-    assert cfg.pruning.start_step == 0  # default retained
+    assert cfg.pruning.start_step == 10  # default retained
     assert cfg.data.num_sequences == 50
     assert cfg.kd_enabled and not cfg.lrr_enabled
 
@@ -184,13 +212,14 @@ def test_seq_len_below_two_rejected(value):
 @pytest.mark.parametrize("stage", ["student-prune", "finetune-prune-baseline"])
 def test_prune_window_must_end_before_last_step(stage, lrr, end_step):
     want = f"pruning end_step {end_step} must be below steps 10"
-    sp = default_config(stage).pruning
+    sp = replace(default_config(stage).pruning, start_step=0)
     with pytest.raises(ConfigError, match=want):
-        default_config(stage, steps=10, lrr_enabled=lrr,
+        default_config(stage, steps=10, lrr_enabled=lrr, warmup_steps=0,
                        pruning=replace(sp, policy_end_step=5, end_step=end_step))
     text = (f"[run]\nstage = {stage}\nsteps = 10\nlrr = {str(lrr).lower()}\n"
-            f"[pruning]\npolicy_end_step = 5\nend_step = {end_step}\n")
+            f"[schedule]\nwarmup_steps = 0\n"
+            f"[pruning]\nstart_step = 0\npolicy_end_step = 5\nend_step = {end_step}\n")
     with pytest.raises(ConfigError, match=want):
         parse_config_text(text)
-    assert default_config(stage, steps=10, lrr_enabled=lrr,
+    assert default_config(stage, steps=10, lrr_enabled=lrr, warmup_steps=0,
                           pruning=replace(sp, policy_end_step=5, end_step=9)).steps == 10

@@ -78,7 +78,7 @@ def test_student_prune_hits_exact_sparsity(sparse_ckpt):
 @pytest.mark.parametrize("stage", ["student-prune", "finetune-prune-baseline"])
 def test_student_prune_logs_schedule(stage, sparse_ckpt, teacher_ckpt):
     cfg = default_config(stage, seed=2, steps=30, kd_enabled=stage == "student-prune",
-                         pruning=SparsitySchedule(0.0, 0.5, 0, 20, 25, 1))
+                         warmup_steps=0, pruning=SparsitySchedule(0.0, 0.5, 0, 20, 25, 1))
     _, metrics = STAGE_RUNNERS[stage](cfg, teacher_ckpt)
     assert len(metrics.rows) == 30
     for row in metrics.rows:
@@ -94,7 +94,7 @@ def test_pruning_meets_target_for_any_interval(stage, interval, teacher_ckpt):
     """The freeze step prunes too, so the frozen pattern holds floor(s*n)
     zeros also when `interval` does not divide the pruning window."""
     cfg = default_config(stage, seed=2, steps=30, kd_enabled=stage == "student-prune",
-                         pruning=SparsitySchedule(0.0, 0.9, 0, 15, 20, interval))
+                         warmup_steps=0, pruning=SparsitySchedule(0.0, 0.9, 0, 15, 20, interval))
     ckpt, _ = STAGE_RUNNERS[stage](cfg, teacher_ckpt)
     for name in prunable_parameter_names(ckpt.model_config):
         w = ckpt.tensors[name].to_dense()
@@ -172,7 +172,7 @@ def test_qat_keeps_accuracy(qat_ckpt):
 
 
 def test_baseline_runs_and_prunes(teacher_ckpt, task_teacher_ckpt):
-    cfg = default_config("finetune-prune-baseline", seed=8, steps=100,
+    cfg = default_config("finetune-prune-baseline", seed=8, steps=100, warmup_steps=0,
                          pruning=SparsitySchedule(0.0, 0.9, 0, 50, 80, 1))
     ckpt, metrics = run_finetune_prune_baseline(cfg, teacher_ckpt,
                                                 teacher_ckpt=task_teacher_ckpt)
@@ -186,7 +186,7 @@ def test_task_stage_honours_distill_weights(stage, teacher_ckpt, task_teacher_ck
     soft losses, as the MLM stages do, and logs that sum as loss_total."""
     pruning = SparsitySchedule(0.0, 0.5, 0, 5, 10, 1) if stage == "finetune-prune-baseline" \
         else None
-    cfg = default_config(stage, seed=12, steps=20, pruning=pruning,
+    cfg = default_config(stage, seed=12, steps=20, warmup_steps=0, pruning=pruning,
                          distill=DistillConfig(temperature=2.0, lambda_pt=0.5, lambda_kd=0.5))
     _, metrics = STAGE_RUNNERS[stage](cfg, teacher_ckpt, teacher_ckpt=task_teacher_ckpt)
     half = np.float32(0.5)
@@ -254,7 +254,7 @@ def test_step_tape_is_freed_before_next_forward(stage):
     its tape, is gone, and so is a weight array that prune_step has
     replaced since."""
     window = SparsitySchedule(0.0, 0.5, 0, 2, 2, 1) if stage == "student-prune" else None
-    cfg = default_config(stage, seed=1, steps=4, pruning=window)
+    cfg = default_config(stage, seed=1, steps=4, warmup_steps=0, pruning=window)
     model = build_model(cfg.model, 0)
     teacher = build_model(cfg.model, 1) if stage == "student-prune" else None
     corpus = build_synthetic_corpus(1, 64, vocab_size=cfg.model.vocab)
@@ -344,7 +344,7 @@ def test_no_grad_teacher_gets_no_gradient():
 
 # A short KD prune and KD transfer, run on the session's teacher and task
 # teacher, whose record arrays are all writable.
-KD_CHAIN = {"prune": default_config("student-prune", seed=2, steps=4,
+KD_CHAIN = {"prune": default_config("student-prune", seed=2, steps=4, warmup_steps=0,
                                     pruning=SparsitySchedule(0.0, 0.5, 0, 2, 2, 1)),
             "transfer": default_config("transfer", seed=4, steps=3)}
 
@@ -668,22 +668,22 @@ def test_task_teacher_cache_build_holds_one_chunk_at_a_time(monkeypatch, task_te
 
 
 # sha256 of serialize(ckpt) and of the metrics CSV for each stage of a short
-# seeded chain: student-prune (KD, interval 2), KD transfer, then qat. Taken
-# when the MLM path moved its last encoder layer, head and losses to the
-# masked positions; every speed-up of the training path that claims the
-# same arithmetic must keep these bytes.
+# seeded chain: student-prune (KD, no warmup, interval 2), KD transfer, then
+# qat. Re-pinned when the prune window's first LR had to be above 0 under
+# rewinding; every speed-up of the training path that claims the same
+# arithmetic must keep these bytes.
 GOLDEN_CHAIN = {
-    "student-prune": ("4a01851a3adb9e0c71f99ced535f9ac2e1ff8b171c5f981b928c976a1c28c161",
-                      "97a8586bf0ec65673b1228ee4085831e7c8bdd860c4b4119fb8e4b13e7bce559"),
-    "transfer": ("20b69040f93ff7827fe6797dc529eae4e9c1c98e57e8f624cfa6a60377b19996",
-                 "6d646fa261fd082eb66dcdfe39f10f6a420da60f5e887338c1935f5dedcfc1cb"),
-    "qat": ("055061683f23d7d7228ef9093cd8cb540f1983f8168764b603061bedb7de4e01",
-            "0847566f6b883b51b3c0083e4be8379107366756097a1ec8d809c2c0a14eadc3"),
+    "student-prune": ("0c559d3507cc224c2be80604ea30adad45440a9fca48811f2d7802d8e24c8725",
+                      "10619987fd51859cf8188b18422d969c511aceecf07fd8f50890169820f849ba"),
+    "transfer": ("198a8fa0f282305311d10a4221f087a3af57a35d2215d70a29dee51e9fa5cc1c",
+                 "6be17e7a554a378e8a911fb1cbfd02c2668d18ec4ce770ec7e1505417f36a09b"),
+    "qat": ("dde312176023c886e99cd65c2b15a841ecce737c016b2b47682ee62e8e4c42c2",
+            "bcfaed827cb20463d15cc268c096ad42a098956c590a13ce2428adffbda03e2a"),
 }
 
 
 def _golden_chain(teacher_ckpt, task_teacher_ckpt):
-    cfgs = {"prune": default_config("student-prune", seed=21, steps=24,
+    cfgs = {"prune": default_config("student-prune", seed=21, steps=24, warmup_steps=0,
                                     pruning=SparsitySchedule(0.0, 0.8, 0, 12, 16, 2)),
             "transfer": default_config("transfer", seed=22, steps=24),
             "qat": default_config("qat", seed=23, steps=16)}

@@ -4,8 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sparsekit.checkpoint import (Checkpoint, checkpoint_from_model, dense_record, q8_record,
-                                  serialize, sparse_record)
+from sparsekit.checkpoint import Checkpoint, build_record, checkpoint_from_model, serialize
 from sparsekit.config import default_config
 from sparsekit.model import ConfigError, ModelConfig, build_model, prunable_parameter_names
 from sparsekit.pruning import SparsitySchedule
@@ -30,9 +29,9 @@ def _exact_sparse_q8_ckpt():
         if name in model.prunable_parameters():
             flat = vals.reshape(-1)
             flat[: int(0.9 * flat.size)] = 0.0
-            tensors[name] = q8_record(name, vals, scale=1.0 / 127, with_bitmap=True)
+            tensors[name] = build_record(name, vals, 1.0 / 127, bitmap=True)
         else:
-            tensors[name] = dense_record(name, vals)
+            tensors[name] = build_record(name, vals)
     return Checkpoint("quantized", model.config, tensors)
 
 
@@ -59,15 +58,16 @@ def test_on_disk_accounting():
     dense = sum(r.dense_bytes for r in rep.rows)
     # per bitmapped int8 record: the 9-byte header (scale, zero point,
     # has_bitmap) and the bitmap's u32 nonzero count
-    disk = sum(r.payload_bytes + r.bitmap_bytes for r in rep.rows) + 13 * len(rep.rows)
+    disk = sum(r.payload_bytes + (r.size + 7) // 8 for r in rep.rows) + 13 * len(rep.rows)
+    assert sum(r.disk_bytes for r in rep.rows) == disk
     assert rep.on_disk_ratio == pytest.approx(dense / disk)
 
 
 @pytest.mark.parametrize("make", [
-    lambda v: dense_record("pooler.weight", v),
-    lambda v: sparse_record("pooler.weight", v),
-    lambda v: q8_record("pooler.weight", v, 1.0 / 127, with_bitmap=False),
-    lambda v: q8_record("pooler.weight", v, 1.0 / 127, with_bitmap=True),
+    lambda v: build_record("pooler.weight", v),
+    lambda v: build_record("pooler.weight", v, bitmap=True),
+    lambda v: build_record("pooler.weight", v, 1.0 / 127),
+    lambda v: build_record("pooler.weight", v, 1.0 / 127, bitmap=True),
 ], ids=["dense", "sparse", "q8", "q8-bitmap"])
 def test_on_disk_bytes_are_the_bytes_serialize_writes(make):
     vals = np.linspace(-1, 1, 64, dtype=np.float32).reshape(8, 8)
@@ -120,8 +120,8 @@ def test_payload_size_ratio_against_fully_pruned_is_contract_error():
 
 def test_schedule_export_csv(tmp_path):
     cfg = default_config("student-prune")
-    assert (cfg.lr, cfg.warmup_steps, cfg.steps) == (0.01, 1, 100)
-    assert cfg.lrr_enabled and cfg.pruning == SparsitySchedule(0.0, 0.9, 0, 50, 80, 1)
+    assert (cfg.lr, cfg.warmup_steps, cfg.steps) == (0.01, 10, 100)
+    assert cfg.lrr_enabled and cfg.pruning == SparsitySchedule(0.0, 0.9, 10, 50, 80, 10)
     out = tmp_path / "sched.csv"
     schedule_export(cfg, out)
     lines = out.read_text().strip().splitlines()
@@ -140,3 +140,18 @@ def test_schedule_export_without_pruning_is_config_error(tmp_path):
     with pytest.raises(ConfigError, match=r"^schedule-export needs a \[pruning\] section$"):
         schedule_export(default_config("teacher-prep"), out)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("node", ["sparse_ckpt", "qat_ckpt"])
+def test_printed_rows_sum_to_both_ratio_denominators(node, request):
+    """The table's dense, payload and on-disk columns reproduce both ratio
+    lines exactly, on the default chain's prune and QAT exports."""
+    rep = compression_report(request.getfixturevalue(node))
+    lines = rep.as_text().splitlines()
+    assert lines[0].split() == ["tensor", "dense_B", "payload_B", "disk_B", "sparsity", "bits"]
+    columns = [[int(v) for v in line.split()[1:4]] for line in lines[1:1 + len(rep.rows)]]
+    dense, payload, disk = (sum(col) for col in zip(*columns))
+    assert rep.parameter_only_ratio == dense / payload
+    assert rep.on_disk_ratio == dense / disk
+    assert lines[-3].endswith(f" {dense / payload:.4f}")
+    assert lines[-2].endswith(f" {dense / disk:.4f}")

@@ -105,7 +105,7 @@ class StageConfig:
 
 def default_config(stage: str, seed: int = 1, **overrides) -> StageConfig:
     """Desk-scale defaults: the reference step counts divided by 1000 (100
-    steps; pruning stages warm up for 10, prune every 10th step of 10-50 and
+    steps; pruning stages skip warmup, prune every 10th step of 10-50 and
     freeze the mask at 80), batch 16, loss weights 0.5/0.5 at temperature 2."""
     model = ModelConfig(num_layers=2, hidden=32, heads=4, ffn_dim=64,
                         vocab=64, max_seq=32, has_pooler=True,
@@ -113,11 +113,11 @@ def default_config(stage: str, seed: int = 1, **overrides) -> StageConfig:
     pruning, warmup = None, 1
     distill = DistillConfig(temperature=2.0, lambda_pt=0.5, lambda_kd=0.5)
     if stage in PRUNING_STAGES:
-        # the window opens after warmup, so each rewind restarts at the full LR
+        # trained weights need no warmup, so every rewind restarts above LR 0
         pruning = SparsitySchedule(initial_sparsity=0.0, final_sparsity=0.9,
                                    start_step=10, policy_end_step=50,
                                    end_step=80, interval=10)
-        warmup = 10
+        warmup = 0
     steps, lr = 100, 0.01
     if stage in TASK_STAGES:
         distill = DistillConfig(temperature=2.0, lambda_pt=0.0, lambda_kd=1.0)

@@ -345,10 +345,10 @@ def test_bad_schedule_value_fails_before_checkpoint_read(tmp_path, capsys):
 
 
 def test_prune_rewinding_to_lr_zero_is_one_line_error(workdir, tmp_path, capsys):
-    """A window that opens at step 0 under the prune stage's 10-step warmup
-    would rewind to LR 0 every interval: the config is refused, no checkpoint."""
+    """A window that opens at step 0 under a 10-step warmup would rewind to
+    LR 0 every interval: the config is refused, no checkpoint."""
     path = tmp_path / "lr0.cfg"
-    path.write_text(f"{PRUNE_CFG}start_step = 0\n")
+    path.write_text(f"{PRUNE_CFG}start_step = 0\n[schedule]\nwarmup_steps = 10\n")
     out = tmp_path / "x.ckpt"
     rc = main(["prune", "--config", str(path), "--teacher", str(workdir / "teacher.ckpt"),
                "--out", str(out)])
@@ -419,8 +419,8 @@ def fuzz_commands(tmp_path_factory):
     teacher = run("teacher-prep", "teacher", "stage = teacher-prep")
     task_teacher = ["--teacher", run("finetune", "task_teacher", "stage = transfer\nkd = false",
                                      "--ckpt", teacher)]
-    sparse = run("prune", "sparse", "stage = student-prune\n[schedule]\nwarmup_steps = 0\n"
-                 "[pruning]\nstart_step = 0\npolicy_end_step = 2\nend_step = 3", "--teacher", teacher)
+    sparse = run("prune", "sparse", "stage = student-prune\n[pruning]\nstart_step = 0\n"
+                 "policy_end_step = 2\nend_step = 3", "--teacher", teacher)
     finetuned = run("finetune", "finetuned", "stage = transfer", "--ckpt", sparse, *task_teacher)
     return {
         "teacher-prep": ("teacher-prep", []),
@@ -443,8 +443,7 @@ def test_schema_fuzz_ends_clean_or_in_one_line_error(fuzz_commands, tmp_path, ca
         stage, inputs = fuzz_commands[command]
         lines = [f"[run]\nstage = {stage}\nsteps = {rng.randint(2, 5)}"]
         if stage in ("student-prune", "finetune-prune-baseline"):
-            lines.append("[schedule]\nwarmup_steps = 0\n"
-                         "[pruning]\nstart_step = 0\npolicy_end_step = 1\nend_step = 1")
+            lines.append("[pruning]\nstart_step = 0\npolicy_end_step = 1\nend_step = 1")
         for section, key in rng.sample(FUZZ_KEYS, rng.randint(1, 3)):
             value = rng.choice(values.get(_SCHEMA[section][key], FUZZ_BOOLS))
             lines.append(f"[{section}]\n{key} = {value}")

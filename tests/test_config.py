@@ -18,7 +18,7 @@ def test_defaults_per_stage():
     assert (sp.pruning.start_step, sp.pruning.policy_end_step,
             sp.pruning.end_step, sp.pruning.interval) == (10, 50, 80, 10)
     assert sp.pruning.final_sparsity == 0.9
-    assert (tp.warmup_steps, sp.warmup_steps) == (1, 10)
+    assert (tp.warmup_steps, sp.warmup_steps) == (1, 0)
 
     tr = default_config("transfer")
     assert tr.model.head_kind == "classify"
@@ -68,13 +68,13 @@ def test_lr_schedule_wiring():
     plain = default_config("student-prune", lrr_enabled=False)
     for t in range(101):
         assert lr_rewound(plain, t) == lr_base(plain, t)
-    assert lr_rewound(plain, 30) == pytest.approx(plain.lr * (100 - 30) / (100 - 10))
+    assert lr_rewound(plain, 30) == pytest.approx(plain.lr * (100 - 30) / 100)
 
 
 @pytest.mark.parametrize("stage", ["student-prune", "finetune-prune-baseline"])
 def test_default_prune_window_trains_at_every_step(stage):
-    """Rewinding restarts each interval at the window's first LR, which the
-    defaults put after warmup: no step of the window runs at LR 0."""
+    """Rewinding restarts each interval at the window's first LR, which is
+    above 0 at the defaults: no step of the window runs at LR 0."""
     cfg = default_config(stage)
     w = cfg.pruning
     assert cfg.lrr_enabled and w.start_step >= cfg.warmup_steps and w.interval > 1
@@ -89,13 +89,15 @@ def test_rewinding_to_lr_zero_is_config_error(stage):
             r"start the window later or set lrr = false$")
     start0 = replace(default_config(stage).pruning, start_step=0)
     with pytest.raises(ConfigError, match=want):
-        default_config(stage, pruning=start0)
+        default_config(stage, pruning=start0, warmup_steps=10)
     with pytest.raises(ConfigError, match=want):
-        parse_config_text(f"[run]\nstage = {stage}\n[pruning]\nstart_step = 0\n")
+        parse_config_text(f"[run]\nstage = {stage}\n[schedule]\nwarmup_steps = 10\n"
+                          f"[pruning]\nstart_step = 0\n")
     # each way out: rewinding off, no warmup, or a window that opens after step 0
-    assert not default_config(stage, pruning=start0, lrr_enabled=False).lrr_enabled
-    assert lr_rewound(default_config(stage, pruning=start0, warmup_steps=0), 0) == 0.01
-    assert default_config(stage, pruning=replace(start0, start_step=1)).pruning.start_step == 1
+    assert not default_config(stage, pruning=start0, warmup_steps=10, lrr_enabled=False).lrr_enabled
+    assert lr_rewound(default_config(stage, pruning=start0), 0) == 0.01
+    assert default_config(stage, pruning=replace(start0, start_step=1),
+                          warmup_steps=10).pruning.start_step == 1
 
 
 def test_digest_sensitive_to_fields():
@@ -214,12 +216,11 @@ def test_prune_window_must_end_before_last_step(stage, lrr, end_step):
     want = f"pruning end_step {end_step} must be below steps 10"
     sp = replace(default_config(stage).pruning, start_step=0)
     with pytest.raises(ConfigError, match=want):
-        default_config(stage, steps=10, lrr_enabled=lrr, warmup_steps=0,
+        default_config(stage, steps=10, lrr_enabled=lrr,
                        pruning=replace(sp, policy_end_step=5, end_step=end_step))
     text = (f"[run]\nstage = {stage}\nsteps = 10\nlrr = {str(lrr).lower()}\n"
-            f"[schedule]\nwarmup_steps = 0\n"
             f"[pruning]\nstart_step = 0\npolicy_end_step = 5\nend_step = {end_step}\n")
     with pytest.raises(ConfigError, match=want):
         parse_config_text(text)
-    assert default_config(stage, steps=10, lrr_enabled=lrr, warmup_steps=0,
+    assert default_config(stage, steps=10, lrr_enabled=lrr,
                           pruning=replace(sp, policy_end_step=5, end_step=9)).steps == 10

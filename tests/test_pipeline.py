@@ -78,7 +78,7 @@ def test_student_prune_hits_exact_sparsity(sparse_ckpt):
 @pytest.mark.parametrize("stage", ["student-prune", "finetune-prune-baseline"])
 def test_student_prune_logs_schedule(stage, sparse_ckpt, teacher_ckpt):
     cfg = default_config(stage, seed=2, steps=30, kd_enabled=stage == "student-prune",
-                         warmup_steps=0, pruning=SparsitySchedule(0.0, 0.5, 0, 20, 25, 1))
+                         pruning=SparsitySchedule(0.0, 0.5, 0, 20, 25, 1))
     _, metrics = STAGE_RUNNERS[stage](cfg, teacher_ckpt)
     assert len(metrics.rows) == 30
     for row in metrics.rows:
@@ -94,7 +94,7 @@ def test_pruning_meets_target_for_any_interval(stage, interval, teacher_ckpt):
     """The freeze step prunes too, so the frozen pattern holds floor(s*n)
     zeros also when `interval` does not divide the pruning window."""
     cfg = default_config(stage, seed=2, steps=30, kd_enabled=stage == "student-prune",
-                         warmup_steps=0, pruning=SparsitySchedule(0.0, 0.9, 0, 15, 20, interval))
+                         pruning=SparsitySchedule(0.0, 0.9, 0, 15, 20, interval))
     ckpt, _ = STAGE_RUNNERS[stage](cfg, teacher_ckpt)
     for name in prunable_parameter_names(ckpt.model_config):
         w = ckpt.tensors[name].to_dense()
@@ -172,7 +172,7 @@ def test_qat_keeps_accuracy(qat_ckpt):
 
 
 def test_baseline_runs_and_prunes(teacher_ckpt, task_teacher_ckpt):
-    cfg = default_config("finetune-prune-baseline", seed=8, steps=100, warmup_steps=0,
+    cfg = default_config("finetune-prune-baseline", seed=8, steps=100,
                          pruning=SparsitySchedule(0.0, 0.9, 0, 50, 80, 1))
     ckpt, metrics = run_finetune_prune_baseline(cfg, teacher_ckpt,
                                                 teacher_ckpt=task_teacher_ckpt)
@@ -186,7 +186,7 @@ def test_task_stage_honours_distill_weights(stage, teacher_ckpt, task_teacher_ck
     soft losses, as the MLM stages do, and logs that sum as loss_total."""
     pruning = SparsitySchedule(0.0, 0.5, 0, 5, 10, 1) if stage == "finetune-prune-baseline" \
         else None
-    cfg = default_config(stage, seed=12, steps=20, warmup_steps=0, pruning=pruning,
+    cfg = default_config(stage, seed=12, steps=20, pruning=pruning,
                          distill=DistillConfig(temperature=2.0, lambda_pt=0.5, lambda_kd=0.5))
     _, metrics = STAGE_RUNNERS[stage](cfg, teacher_ckpt, teacher_ckpt=task_teacher_ckpt)
     half = np.float32(0.5)
@@ -254,7 +254,7 @@ def test_step_tape_is_freed_before_next_forward(stage):
     its tape, is gone, and so is a weight array that prune_step has
     replaced since."""
     window = SparsitySchedule(0.0, 0.5, 0, 2, 2, 1) if stage == "student-prune" else None
-    cfg = default_config(stage, seed=1, steps=4, warmup_steps=0, pruning=window)
+    cfg = default_config(stage, seed=1, steps=4, pruning=window)
     model = build_model(cfg.model, 0)
     teacher = build_model(cfg.model, 1) if stage == "student-prune" else None
     corpus = build_synthetic_corpus(1, 64, vocab_size=cfg.model.vocab)
@@ -344,7 +344,7 @@ def test_no_grad_teacher_gets_no_gradient():
 
 # A short KD prune and KD transfer, run on the session's teacher and task
 # teacher, whose record arrays are all writable.
-KD_CHAIN = {"prune": default_config("student-prune", seed=2, steps=4, warmup_steps=0,
+KD_CHAIN = {"prune": default_config("student-prune", seed=2, steps=4,
                                     pruning=SparsitySchedule(0.0, 0.5, 0, 2, 2, 1)),
             "transfer": default_config("transfer", seed=4, steps=3)}
 
@@ -668,10 +668,10 @@ def test_task_teacher_cache_build_holds_one_chunk_at_a_time(monkeypatch, task_te
 
 
 # sha256 of serialize(ckpt) and of the metrics CSV for each stage of a short
-# seeded chain: student-prune (KD, no warmup, interval 2), KD transfer, then
-# qat. Re-pinned when the prune window's first LR had to be above 0 under
-# rewinding; every speed-up of the training path that claims the same
-# arithmetic must keep these bytes.
+# seeded chain: student-prune (KD, interval 2), KD transfer, then qat.
+# Re-pinned when the pruning stages dropped their one warmup step, which
+# rewound the window to LR 0; every speed-up of the training path that
+# claims the same arithmetic must keep these bytes.
 GOLDEN_CHAIN = {
     "student-prune": ("0c559d3507cc224c2be80604ea30adad45440a9fca48811f2d7802d8e24c8725",
                       "10619987fd51859cf8188b18422d969c511aceecf07fd8f50890169820f849ba"),
@@ -683,7 +683,7 @@ GOLDEN_CHAIN = {
 
 
 def _golden_chain(teacher_ckpt, task_teacher_ckpt):
-    cfgs = {"prune": default_config("student-prune", seed=21, steps=24, warmup_steps=0,
+    cfgs = {"prune": default_config("student-prune", seed=21, steps=24,
                                     pruning=SparsitySchedule(0.0, 0.8, 0, 12, 16, 2)),
             "transfer": default_config("transfer", seed=22, steps=24),
             "qat": default_config("qat", seed=23, steps=16)}

@@ -120,7 +120,7 @@ def test_payload_size_ratio_against_fully_pruned_is_contract_error():
 
 def test_schedule_export_csv(tmp_path):
     cfg = default_config("student-prune")
-    assert (cfg.lr, cfg.warmup_steps, cfg.steps) == (0.01, 10, 100)
+    assert (cfg.lr, cfg.warmup_steps, cfg.steps) == (0.01, 0, 100)
     assert cfg.lrr_enabled and cfg.pruning == SparsitySchedule(0.0, 0.9, 10, 50, 80, 10)
     out = tmp_path / "sched.csv"
     schedule_export(cfg, out)

@@ -144,8 +144,7 @@ def _step_loss(fw: ForwardResult, t_logits: Optional[T.Tensor],
 
 def _train(cfg: StageConfig, model: EncoderModel,
            forward: Callable[[int], tuple[ForwardResult, Optional[T.Tensor]]],
-           evaluate: Callable[[float], tuple[ForwardResult, dict]],
-           masks: Optional[Dict[str, np.ndarray]] = None) -> RunMetrics:
+           evaluate: Callable[[float], tuple[ForwardResult, dict]]) -> RunMetrics:
     """The body of every stage: one Adam step on the loss of `forward(t)`
     per step, then the validation forward. `forward(t)` gives the student's
     forward on step t's batch and the teacher's logits at the same rows
@@ -153,9 +152,12 @@ def _train(cfg: StageConfig, model: EncoderModel,
     step's loss, logged or not, runs tape-free and gives the validation
     forward and the rest of the summary, to which `val_loss` is added.
 
-    A stage prunes exactly when its config has a pruning section: gradual
-    magnitude pruning on that schedule, under the rewound learning rate.
-    Without one, `masks` (None, or a locked zero pattern) holds on every step.
+    `_train` alone decides the zero pattern a stage holds. A stage prunes
+    exactly when its config has a pruning section: gradual magnitude pruning
+    on that schedule, under the rewound learning rate, and the masks of its
+    last `prune_step` hold from `end_step` on. Any other stage holds the
+    zeros of its start weights on every step; a start with no zero prunable
+    weight holds no pattern.
 
     A step's tape lives from its forward to its backward: when
     `forward(t + 1)` runs, only the parameters, the masks, Adam's moments
@@ -164,6 +166,7 @@ def _train(cfg: StageConfig, model: EncoderModel,
     validation forward, is a DivergenceError naming the stage and where.
     """
     sp = cfg.pruning
+    masks = lock_pattern(model) if sp is None else None
     opt = Adam(model.parameters, weight_decay=cfg.weight_decay)
     metrics = RunMetrics()
     try:
@@ -183,8 +186,7 @@ def _train(cfg: StageConfig, model: EncoderModel,
                 # returning it to the OS and faulting it in again.
                 opt.zero_grad()
                 T.backward(loss)
-                # dropping `loss` frees the step's tape, and with it the weight
-                # arrays that prune_step replaced
+                # dropping `loss` frees the step's tape
                 step_loss = float(loss.values)
                 del loss
                 # a non-finite input weight carries into the loss without a numpy event
@@ -252,7 +254,6 @@ def _train_task(cfg: StageConfig, start_ckpt: Checkpoint, teacher_ckpt: Optional
     task = _make_task(cfg)
     model = model_from_checkpoint(start_ckpt, head_kind="classify",
                                   num_labels=task.num_labels, seed=cfg.seed)
-    masks = lock_pattern(model) if cfg.pruning is None else None
     teacher = _TaskTeacher(teacher_ckpt, task) if cfg.kd_enabled else None
 
     def forward(t: int):
@@ -270,7 +271,7 @@ def _train_task(cfg: StageConfig, start_ckpt: Checkpoint, teacher_ckpt: Optional
         acc = float((fw.logits.values.argmax(axis=-1) == task.validation.labels).mean())
         return fw, {"val_accuracy": acc, "final_sparsity": sparsity_report(model).aggregate,
                     **qat_summary}
-    metrics = _train(cfg, model, forward, evaluate, masks)
+    metrics = _train(cfg, model, forward, evaluate)
     q8_names = () if quant is None else quant.weight_names
     ckpt = checkpoint_from_model(model, cfg.stage, metrics.summary, cfg.digest(), q8_names=q8_names)
     return ckpt, metrics

@@ -66,39 +66,33 @@ def _magnitude_mask(w: np.ndarray, ratio: float) -> np.ndarray:
     return (~pruned).reshape(w.shape)
 
 
-def _zero_outside(w: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write `np.where(m, w, 0)` into `out` as one bitwise AND of w's bits with
-    m widened to all-ones or zero: the same bits for every value, -0.0 and NaN
-    included, without a per-element branch."""
-    u = f"u{w.itemsize}"
-    np.bitwise_and(w.view(u), np.negative(m, dtype=u), out=out.view(u))
-    return out
+def _zero_outside(w: np.ndarray, m: np.ndarray) -> None:
+    """Set w to `np.where(m, w, 0)` in place, as one bitwise AND of w's bits
+    with m widened to all-ones or zero: the same bits for every value, -0.0
+    and NaN included, without a per-element branch. (w * m would make -0.0
+    of a pruned negative and NaN of a pruned inf.)"""
+    bits = w.view(f"u{w.itemsize}")
+    np.bitwise_and(bits, np.negative(m, dtype=bits.dtype), out=bits)
 
 
 def prune_step(model, mask_set: Optional[Dict[str, np.ndarray]],
                ratio: float) -> Dict[str, np.ndarray]:
-    """Recompute masks from current magnitudes and hard-zero pruned weights.
-    A mask is a bool array, True where the weight is kept. `mask_set`, the
-    previous masks, is not read."""
+    """Recompute masks from current magnitudes and hard-zero pruned weights
+    in place, through `restore_pattern`. A mask is a bool array, True where
+    the weight is kept. `mask_set`, the previous masks, is not read."""
     if not (0.0 <= ratio <= 1.0):
         raise ContractError(f"prune ratio {ratio} outside [0, 1]")
-    masks = {}
-    for name in model.prunable_parameters():
-        p = model.parameters[name]
-        m = _magnitude_mask(p.values, ratio)
-        # not w*m, which makes -0.0 of a pruned negative and NaN of a pruned inf
-        p.values = _zero_outside(p.values, m, np.empty_like(p.values))
-        masks[name] = m
+    masks = {name: _magnitude_mask(model.parameters[name].values, ratio)
+             for name in model.prunable_parameters()}
+    restore_pattern(model, masks)
     return masks
 
 
-def lock_pattern(model) -> Dict[str, np.ndarray]:
-    """Bool masks, True exactly where the weight is nonzero, over prunable tensors."""
-    masks = {}
-    for name in model.prunable_parameters():
-        w = model.parameters[name].values
-        masks[name] = w != 0
-    return masks
+def lock_pattern(model) -> Optional[Dict[str, np.ndarray]]:
+    """Bool masks, True exactly where the weight is nonzero, over prunable
+    tensors; None when no prunable weight is zero, so there is no pattern."""
+    masks = {name: model.parameters[name].values != 0 for name in model.prunable_parameters()}
+    return None if all(m.all() for m in masks.values()) else masks
 
 
 def restore_pattern(model, masks: Dict[str, np.ndarray]) -> None:
@@ -106,8 +100,7 @@ def restore_pattern(model, masks: Dict[str, np.ndarray]) -> None:
     each optimizer step, it holds a frozen zero pattern: the optimizer may
     move a pruned weight, and this undoes it before any forward reads it."""
     for name, m in masks.items():
-        w = model.parameters[name].values
-        _zero_outside(w, m, w)
+        _zero_outside(model.parameters[name].values, m)
 
 
 @dataclass

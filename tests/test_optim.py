@@ -142,7 +142,7 @@ def test_flat_step_bit_equal_to_per_parameter_loop(run_size, monkeypatch):
 def test_parameters_keep_their_own_arrays():
     params = {"w.weight": Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)}
     opt = Adam(params)
-    params["w.weight"].values = np.full((2, 2), 3.0, dtype=np.float32)  # as prune_step rebinds
+    params["w.weight"].values = np.full((2, 2), 3.0, dtype=np.float32)  # a caller may rebind
     params["w.weight"].grad = np.ones((2, 2), dtype=np.float32)
     opt.step(0.1)
     assert (params["w.weight"].values < 3.0).all()

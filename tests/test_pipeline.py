@@ -124,6 +124,24 @@ def test_transfer_locks_pattern(sparse_ckpt, finetuned_ckpt):
         sparse_ckpt.metrics["final_sparsity"])
 
 
+@pytest.mark.parametrize("start", ["dense", "sparse"])
+def test_transfer_holds_a_pattern_only_from_a_sparse_start(start, monkeypatch, teacher_ckpt,
+                                                           sparse_ckpt):
+    """A start with no zero prunable weight holds no pattern, so a dense
+    transfer never restores one; a sparse start restores after every step."""
+    calls = []
+    real = pipeline_module.restore_pattern
+
+    def restore_pattern(model, masks):
+        calls.append(len(masks))
+        real(model, masks)
+
+    monkeypatch.setattr(pipeline_module, "restore_pattern", restore_pattern)
+    cfg = default_config("transfer", seed=1, steps=3, kd_enabled=False)
+    run_transfer(cfg, teacher_ckpt if start == "dense" else sparse_ckpt)
+    assert len(calls) == (0 if start == "dense" else cfg.steps)
+
+
 def test_transfer_reaches_usable_accuracy(finetuned_ckpt):
     assert finetuned_ckpt.metrics["val_accuracy"] >= 0.9
 
@@ -251,8 +269,8 @@ def test_stage_determinism():
 @pytest.mark.parametrize("stage", ["teacher-prep", "student-prune"])
 def test_step_tape_is_freed_before_next_forward(stage):
     """At each forward's entry the previous step's logits array, and with it
-    its tape, is gone, and so is a weight array that prune_step has
-    replaced since."""
+    its tape, is gone, while the weight keeps its array: prune_step zeroes
+    in place."""
     window = SparsitySchedule(0.0, 0.5, 0, 2, 2, 1) if stage == "student-prune" else None
     cfg = default_config(stage, seed=1, steps=4, pruning=window)
     model = build_model(cfg.model, 0)
@@ -264,7 +282,7 @@ def test_step_tape_is_freed_before_next_forward(stage):
     def forward(t):
         if held:
             old_w = held["weight"]()
-            found.append((held["logits"]() is None, old_w is None or old_w is w.values))
+            found.append((held["logits"]() is None, old_w is w.values))
         batch = make_mlm_batch(corpus, t, cfg.batch_size, cfg.seq_len)
         fw = model.forward_mlm(batch)
         held.update(logits=weakref.ref(fw.logits.values), weight=weakref.ref(w.values))

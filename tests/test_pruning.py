@@ -153,6 +153,24 @@ def test_magnitude_mask_matches_stable_argsort():
             assert got.tobytes() == want.tobytes(), (w.shape, ratio)
 
 
+def test_prune_step_zeroes_in_place():
+    """Each prunable weight keeps its array object, and its bits become
+    np.where(mask, w, 0): a pruned negative or -0.0 turns +0.0."""
+    model = tiny_model()
+    names = model.prunable_parameters()
+    for name in names:
+        model.parameters[name].values.reshape(-1)[:2] = -0.0
+    arrays = {n: model.parameters[n].values for n in names}
+    before = {n: a.copy() for n, a in arrays.items()}
+    masks = prune_step(model, None, 0.6)
+    for name in names:
+        w = model.parameters[name].values
+        assert w is arrays[name], name
+        want = np.where(masks[name], before[name], np.float32(0.0))
+        assert w.tobytes() == want.tobytes(), name
+        assert (before[name][~masks[name]] < 0).any() and not np.signbit(w[~masks[name]]).any()
+
+
 def test_prune_idempotent_at_fixed_ratio():
     model = tiny_model()
     m1 = prune_step(model, None, 0.5)
@@ -172,13 +190,12 @@ def test_lock_pattern():
     np.testing.assert_array_equal(masks[name].reshape(-1)[:3], [0, 1, 1])
 
 
-def test_lock_pattern_dense_all_ones():
+def test_lock_pattern_dense_is_none():
+    """A model with no zero prunable weight has no pattern to hold."""
     model = tiny_model()
     for n in model.prunable_parameters():
         assert (model.parameters[n].values != 0).all()
-    masks = lock_pattern(model)
-    for n in masks:
-        assert masks[n].all()
+    assert lock_pattern(model) is None
 
 
 def test_lock_pattern_sparsity_matches():
@@ -193,9 +210,12 @@ def test_lock_pattern_sparsity_matches():
 @pytest.mark.parametrize("ratio", [0.0, 0.5])
 def test_masks_are_bool(ratio):
     """One byte per weight: prune_step's masks (the all-kept ratio-0 path
-    too) and lock_pattern's are bool, True where the weight is kept."""
+    too) and lock_pattern's are bool, True where the weight is kept. After
+    the ratio-0 step no weight is zero, and lock_pattern gives None."""
     model = tiny_model()
-    for masks in (prune_step(model, None, ratio), lock_pattern(model)):
+    pruned, locked = prune_step(model, None, ratio), lock_pattern(model)
+    assert (locked is None) == (ratio == 0.0)
+    for masks in (pruned, locked or pruned):
         assert list(masks) == model.prunable_parameters()
         for n, m in masks.items():
             assert m.dtype == np.bool_ and m.shape == model.parameters[n].shape, n

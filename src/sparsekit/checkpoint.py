@@ -42,8 +42,8 @@ class FormatError(SparsekitError):
 class TensorRecord:
     """One stored tensor. `payload` holds every value in flat order, or only
     the nonzeros when there is a bitmap. It is int8, dequantized on the
-    symmetric grid of `scale`, exactly when `scale` is set; f32 otherwise."""
-    name: str
+    symmetric grid of `scale`, exactly when `scale` is set; f32 otherwise.
+    Its name is its key in `Checkpoint.tensors`."""
     shape: tuple
     payload: np.ndarray
     bitmap: Optional[np.ndarray] = None  # bool, flat, True = nonzero
@@ -83,7 +83,7 @@ class Checkpoint:
     config_hash: bytes = b"\x00" * 32
 
 
-def build_record(name: str, values: np.ndarray, scale: Optional[float] = None,
+def build_record(values: np.ndarray, scale: Optional[float] = None,
                  bitmap: bool = False) -> TensorRecord:
     """`values` as f32, or as int8 on the symmetric grid of `scale`; every
     value in flat order, or with `bitmap` only the nonzeros (after rounding)."""
@@ -91,7 +91,7 @@ def build_record(name: str, values: np.ndarray, scale: Optional[float] = None,
     if scale is not None:
         flat = quantize_ints(flat, weight_grid(scale)).astype(np.int8)
     mask = flat != 0 if bitmap else None
-    return TensorRecord(name, values.shape, flat if mask is None else flat[mask], mask, scale)
+    return TensorRecord(values.shape, flat if mask is None else flat[mask], mask, scale)
 
 
 def checkpoint_from_model(model: EncoderModel, stage: str, metrics: Optional[dict] = None,
@@ -103,7 +103,7 @@ def checkpoint_from_model(model: EncoderModel, stage: str, metrics: Optional[dic
     for name, p in model.parameters.items():
         vals = p.values
         scale = weight_qparams(vals).scale if name in q8_names else None
-        tensors[name] = build_record(name, vals, scale, bitmap=float((vals == 0).mean()) > 0.5)
+        tensors[name] = build_record(vals, scale, bitmap=float((vals == 0).mean()) > 0.5)
     return Checkpoint(stage, model.config, tensors, metrics or {}, config_hash)
 
 
@@ -251,7 +251,7 @@ class _Reader:
         raise FormatError(f"bad {what} at offset {at}")
 
 
-def _read_record(r: _Reader, name: str) -> TensorRecord:
+def _read_record(r: _Reader) -> TensorRecord:
     (ndim,) = r.unpack("<B")
     shape = tuple(r.unpack(f"<{ndim}I"))
     at = r.pos
@@ -276,7 +276,7 @@ def _read_record(r: _Reader, name: str) -> TensorRecord:
         bitmap = bits[:n].astype(bool)
     dtype = np.dtype("<f4" if scale is None else "i1")
     payload = np.frombuffer(r.take(count * dtype.itemsize), dtype=dtype).copy()
-    return TensorRecord(name, shape, payload, bitmap, scale)
+    return TensorRecord(shape, payload, bitmap, scale)
 
 
 def deserialize(data: bytes) -> Checkpoint:
@@ -295,7 +295,7 @@ def deserialize(data: bytes) -> Checkpoint:
         name = r.read_str()
         if name in tensors:
             raise FormatError(f"duplicate tensor {name!r} at offset {at}")
-        tensors[name] = _read_record(r, name)
+        tensors[name] = _read_record(r)
     metrics = r.read_blob("metrics", _metrics_from_blob, _metrics_blob)
     config_hash = r.take(32)
     if r.pos != len(data):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -67,6 +68,11 @@ def _dispatch(args) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
+        # checked before any checkpoint is read or any step runs: a failed run writes nothing
+        for flag, path in (("--out", args.out), ("--metrics", args.metrics)):
+            folder = os.path.dirname(path or "") or "."
+            if not os.path.isdir(folder):
+                raise FileNotFoundError(f"{flag}: no directory {folder!r}")
         inputs = [] if start is None else [load_checkpoint(getattr(args, start))]
         kwargs = {}
         if start == "ckpt":

@@ -1,7 +1,8 @@
 """Stage configuration: dataclass, file parser, and desk-scale defaults.
 
 Config files are line oriented: [section] headers with key = value pairs.
-Unknown sections or keys are errors.
+Unknown sections or keys are errors, and so is a key set twice, within one
+block or across repeated headers of a section.
 """
 from __future__ import annotations
 
@@ -182,6 +183,8 @@ def parse_config_text(text: str) -> StageConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SCHEMA[current]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{current}]")
+        if key in sections[current]:
+            raise ConfigError(f"line {lineno}: key {key!r} is set twice in section [{current}]")
         try:
             sections[current][key] = _SCHEMA[current][key](value)
         except ConfigError:

@@ -11,6 +11,7 @@ from .tensor import ContractError
 
 PAD, MASK, UNK, CLS, SEP = 0, 1, 2, 3, 4
 NUM_RESERVED = 5
+SHORT_PROB = 0.1  # share of MLM rows cut to a random length in [4, seq_len - 1]
 
 
 def _regular_ids(vocab_size: int) -> np.ndarray:
@@ -85,7 +86,7 @@ class MlmBatch:
 
 
 def make_mlm_batch(corpus: Corpus, seed: int, batch: int, seq_len: int,
-                   short_prob: float = 0.1, split: str = "train") -> MlmBatch:
+                   split: str = "train") -> MlmBatch:
     """BERT-recipe masking: 15% of non-special positions, 80/10/10 replacement."""
     if split not in ("train", "validation"):
         raise ContractError(f"split must be 'train' or 'validation', got {split!r}")
@@ -98,7 +99,7 @@ def make_mlm_batch(corpus: Corpus, seed: int, batch: int, seq_len: int,
     for i in range(batch):
         seq = pool[int(rng.integers(0, len(pool)))]
         body_len = seq_len - 2
-        if rng.random() < short_prob and seq_len > 4:
+        if rng.random() < SHORT_PROB and seq_len > 4:
             body_len = int(rng.integers(4, seq_len)) - 2  # total length in [4, seq_len-1]
         body = seq[:body_len]
         row = np.concatenate(([CLS], body, [SEP]))

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -46,25 +46,19 @@ class Adam:
         self._bounds = list(accumulate((p.size for p in parameters.values()), initial=0))
         self._m = np.zeros(self._bounds[-1], dtype=dtype)
         self._v = np.zeros(self._bounds[-1], dtype=dtype)
-        self._runs_key: Optional[tuple] = None  # which parameters had a gradient
-        self._runs_cache: list = []
 
     def zero_grad(self):
         for p in self.parameters.values():
             p.zero_grad()
 
-    def _runs(self, live: tuple) -> list:
+    def _runs(self) -> list:
         """(start, stop, spans, decayed) of each run a step walks:
           start, stop  its slice of the moment arrays
           spans        (parameter, start, stop) of each parameter within the run
-          decayed      the spans that take weight decay
-        Rebuilt only when the set of parameters with a gradient changes."""
-        if self._runs_key == live:
-            return self._runs_cache
+          decayed      the spans that take weight decay"""
         runs, prev_live = [], False
-        for (name, p), lo, hi, has_grad in zip(self.parameters.items(), self._bounds,
-                                                 self._bounds[1:], live):
-            if not has_grad:
+        for (name, p), lo, hi in zip(self.parameters.items(), self._bounds, self._bounds[1:]):
+            if p.grad is None:
                 prev_live = False
                 continue
             if not prev_live or hi - runs[-1][0] > RUN_SIZE:
@@ -75,18 +69,14 @@ class Adam:
             spans.append(span)
             if self.weight_decay and name.endswith(".weight") and p.values.ndim == 2:
                 decayed.append(span)
-        self._runs_cache = [(start, start + spans[-1][2], spans, decayed)
-                            for start, spans, decayed in runs]
-        self._runs_key = live
-        return self._runs_cache
+        return [(start, start + spans[-1][2], spans, decayed) for start, spans, decayed in runs]
 
     def step(self, lr: float):
         lr = float(lr)
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
-        live = tuple(p.grad is not None for p in self.parameters.values())
-        for start, stop, spans, decayed in self._runs(live):
+        for start, stop, spans, decayed in self._runs():
             grads = [p.grad.reshape(-1) for p, _, _ in spans]
             g = grads[0] if len(grads) == 1 else np.concatenate(grads)
             m, v = self._m[start:stop], self._v[start:stop]

@@ -58,11 +58,7 @@ def _magnitude_mask(w: np.ndarray, ratio: float) -> np.ndarray:
     else:
         tie = a == thr
         pruned = a < thr
-    extra = k - np.count_nonzero(pruned)
-    if extra == np.count_nonzero(tie):  # every tie is pruned
-        pruned |= tie
-    else:
-        pruned[np.flatnonzero(tie)[:extra]] = True
+    pruned[np.flatnonzero(tie)[:k - np.count_nonzero(pruned)]] = True
     return (~pruned).reshape(w.shape)
 
 
@@ -107,8 +103,6 @@ def restore_pattern(model, masks: Dict[str, np.ndarray]) -> None:
 class SparsityReport:
     per_tensor: Dict[str, float]
     aggregate: float
-    nonzero_count: int
-    total_count: int
 
 
 def sparsity_report(model) -> SparsityReport:
@@ -123,4 +117,4 @@ def sparsity_report(model) -> SparsityReport:
         zeros += z
         total += w.size
     agg = zeros / total if total else 0.0
-    return SparsityReport(per_tensor, agg, total - zeros, total)
+    return SparsityReport(per_tensor, agg)

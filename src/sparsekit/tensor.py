@@ -432,7 +432,9 @@ def take_rows(a: Tensor, index) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(param) into every reachable requires_grad tensor.
 
-    Calling twice without zeroing doubles the stored gradients. The walk keys
+    Calling twice without zeroing doubles the stored gradients. Every backward
+    closure returns one gradient per parent, so each node of the walk holds
+    its gradient's full sum by the time the walk reaches it. The walk keys
     its sets and dicts on the nodes themselves, which needs `Tensor` to hash
     and compare by identity: it must define no `__eq__` or `__hash__`.
     """
@@ -456,16 +458,12 @@ def backward(loss: Tensor) -> None:
 
     adj = {loss: np.ones_like(loss.values)}
     for node in reversed(topo):
-        g = adj.pop(node, None)
-        if g is None:
-            continue
+        g = adj.pop(node)
         if node.requires_grad:
             node.grad = g.copy() if node.grad is None else node.grad + g
         if node._backward is None:
             continue
         for p, pg in zip(node.parents, node._backward(g)):
-            if pg is None:
-                continue
             prev = adj.get(p)
             adj[p] = pg if prev is None else prev + pg
 

@@ -280,11 +280,11 @@ def _exact_ckpt(sparsity, bits, seed=0):
             assert abs(k - sparsity * flat.size) < 1e-9
             flat[:k] = 0.0
             if bits == 8:
-                tensors[name] = build_record(name, vals, 1.0 / 127, bitmap=True)
+                tensors[name] = build_record(vals, 1.0 / 127, bitmap=True)
             else:
-                tensors[name] = build_record(name, vals, bitmap=True)
+                tensors[name] = build_record(vals, bitmap=True)
         else:
-            tensors[name] = build_record(name, vals)
+            tensors[name] = build_record(vals)
     return Checkpoint("quantized" if bits == 8 else "student-prune",
                       model.config, tensors)
 

@@ -42,7 +42,7 @@ def test_sparse_record_roundtrip():
     rng = np.random.Generator(np.random.PCG64(0))
     w = rng.standard_normal((16, 8)).astype(np.float32)
     w[np.abs(w) < 1.0] = 0.0
-    rec = build_record("w", w, bitmap=True)
+    rec = build_record(w, bitmap=True)
     assert rec.storage == SPARSE
     np.testing.assert_array_equal(rec.to_dense(), w)
     ckpt = Checkpoint("sparse-student", small_model().config, {"w": rec})
@@ -62,7 +62,7 @@ def test_sparse_chosen_automatically():
 def test_sparse_payload_size():
     w = np.zeros(100, dtype=np.float32)
     w[:10] = 1.5
-    rec = build_record("w", w.reshape(10, 10), bitmap=True)
+    rec = build_record(w.reshape(10, 10), bitmap=True)
     assert rec.payload.nbytes == 40
     # a 13-byte bitmap, its u32 nonzero count and the payload
     assert len(record_body(rec)) == 13 + 4 + 40
@@ -70,7 +70,7 @@ def test_sparse_payload_size():
 
 def test_q8_record_roundtrip_with_bitmap():
     w = np.array([[0.0, 0.5], [-1.0, 0.0]], dtype=np.float32)
-    rec = build_record("w", w, 1.0 / 127, bitmap=True)
+    rec = build_record(w, 1.0 / 127, bitmap=True)
     assert rec.storage == Q8
     assert rec.payload.size == 2
     np.testing.assert_allclose(rec.to_dense(), w, atol=1.0 / 254)
@@ -89,8 +89,7 @@ def test_model_from_checkpoint_rejects_unknown_tensor():
 def test_model_from_checkpoint_rejects_wrong_shape():
     ckpt = checkpoint_from_model(small_model(), "teacher")
     assert ckpt.tensors["layer.0.q.weight"].shape == (8, 8)
-    ckpt.tensors["layer.0.q.weight"] = build_record("layer.0.q.weight",
-                                                    np.ones((4, 16), dtype=np.float32))
+    ckpt.tensors["layer.0.q.weight"] = build_record(np.ones((4, 16), dtype=np.float32))
     with pytest.raises(FormatError, match=r"has shape \(4, 16\), the model's is \(8, 8\)"):
         model_from_checkpoint(deserialize(serialize(ckpt)))
 
@@ -107,15 +106,14 @@ def test_model_from_checkpoint_skips_only_the_dropped_head():
     # loading as classify drops the MLM head: its records are skipped
     assert "mlm_head.weight" not in model_from_checkpoint(ckpt, head_kind="classify").parameters
     # a head record that the checkpoint's own config does not describe is an error
-    ckpt.tensors["classify_head.bias"] = build_record("classify_head.bias",
-                                                      np.zeros(2, dtype=np.float32))
+    ckpt.tensors["classify_head.bias"] = build_record(np.zeros(2, dtype=np.float32))
     with pytest.raises(FormatError, match="classify_head.bias"):
         model_from_checkpoint(ckpt)
 
 
 def test_q8_record_dense_payload():
     w = np.linspace(-1, 1, 8, dtype=np.float32).reshape(2, 4)
-    rec = build_record("w", w, 1.0 / 127)
+    rec = build_record(w, 1.0 / 127)
     assert rec.bitmap is None
     assert rec.payload.nbytes == 8
     # the 9-byte int8 header and the payload
@@ -195,7 +193,7 @@ def test_truncated_reports_offset():
 def test_popcount_mismatch_detected():
     w = np.zeros(16, dtype=np.float32)
     w[:3] = 1.0
-    rec = build_record("w", w.reshape(4, 4), bitmap=True)
+    rec = build_record(w.reshape(4, 4), bitmap=True)
     raw = bytearray(serialize(Checkpoint("sparse-student", small_model().config, {"w": rec})))
     # flip a bitmap bit: the bitmap is the first 2 bytes after the storage tag
     idx = raw.index(b"\x01", 60)  # storage byte for the only tensor
@@ -207,13 +205,13 @@ def test_popcount_mismatch_detected():
 # sha256 of serialize() for one fixed checkpoint per record shape, taken from
 # the version-1 writer: a change to the wire bytes of any record shows here.
 _GOLDEN = {
-    "dense-f32": (lambda w: build_record("w", w),
+    "dense-f32": (build_record,
                   "2cb1e5c74af7635ef52f7584e996a21f8676ea500e34b2c7b81c4e72fe08ba06"),
-    "sparse": (lambda w: build_record("w", w, bitmap=True),
+    "sparse": (lambda w: build_record(w, bitmap=True),
                "0be4689bb1fe189b29f512e1adf5c0ed41dbf6c318288b4d101c6243c3c89f8e"),
-    "q8-bitmap": (lambda w: build_record("w", w, 1.0 / 127, bitmap=True),
+    "q8-bitmap": (lambda w: build_record(w, 1.0 / 127, bitmap=True),
                   "7555042f9ec5733e4b83406fc80cc3096d8b5fdda7f8519a3dfc26b874e63421"),
-    "q8-dense": (lambda w: build_record("w", w, 1.0 / 127),
+    "q8-dense": (lambda w: build_record(w, 1.0 / 127),
                  "6312ab894ae7906b0d95b7d968721ae45e6c1a936bc2aae658165c73d5fe84fc"),
 }
 
@@ -326,6 +324,6 @@ def test_nonzero_int8_zero_point_is_format_error(shape, zp):
 
 
 def test_duplicate_tensor_name_rejected():
-    raw = _golden_raw("dense-f32", v=build_record("v", _golden_tensor()))
+    raw = _golden_raw("dense-f32", v=build_record(_golden_tensor()))
     with pytest.raises(FormatError, match="duplicate tensor 'w' at offset"):
         deserialize(raw.replace(b"\x01\x00v", b"\x01\x00w"))

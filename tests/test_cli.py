@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from sparsekit import cli
 from sparsekit.checkpoint import (FormatError, checkpoint_from_model, load_checkpoint,
                                   save_checkpoint, serialize)
 from sparsekit.cli import main
@@ -31,6 +32,14 @@ PRUNE_CFG = ("[run]\nstage = student-prune\nsteps = 40\n" + SMALL_MODEL +
              "\n[pruning]\nfinal_sparsity = 0.8\npolicy_end_step = 20\nend_step = 30\n")
 TRANSFER_CFG = "[run]\nstage = transfer\nsteps = 40\nkd = false\n" + SMALL_MODEL
 QAT_CFG = "[run]\nstage = qat\nsteps = 15\nkd = false\n" + SMALL_MODEL
+
+
+def _with_lines(cfg: str, lines: str) -> str:
+    """`cfg` with `lines` appended, less cfg's own lines for the keys that
+    `lines` sets: a key set twice is an error of its own."""
+    keys = {entry.split(" = ")[0] for entry in lines.splitlines() if " = " in entry}
+    kept = [entry for entry in cfg.splitlines() if entry.split(" = ")[0] not in keys]
+    return "\n".join(kept) + f"\n{lines}\n"
 
 
 @pytest.fixture(scope="module")
@@ -237,11 +246,10 @@ def test_bad_usage_returns_two(capsys):
     capsys.readouterr()
 
 
-# The second `steps = 0` line overrides `steps = 2`.
 @pytest.mark.parametrize("key", ["steps", "batch_size", "log_every"])
 def test_out_of_range_run_value_is_one_line_error(key, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"[run]\nstage = teacher-prep\nsteps = 2\n{key} = 0\n")
+    cfg.write_text(_with_lines("[run]\nstage = teacher-prep\nsteps = 2", f"{key} = 0"))
     rc = main(["teacher-prep", "--config", str(cfg), "--out", str(tmp_path / "x.ckpt")])
     assert rc == 1
     err = capsys.readouterr().err
@@ -251,7 +259,7 @@ def test_out_of_range_run_value_is_one_line_error(key, tmp_path, capsys):
 
 # Each of these ended in a traceback, or, for NaN, in exit 0 and a
 # checkpoint whose val_loss is NaN; lambda_kd = 0 with kd on ran a teacher
-# forward per step that no loss read. The [model] line overrides SMALL_MODEL's.
+# forward per step that no loss read. The [model] line replaces SMALL_MODEL's.
 @pytest.mark.parametrize("command, section, line, message", [
     ("teacher-prep", "model", "heads = 0", "heads must be >= 1, got 0"),
     ("teacher-prep", "model", "hidden = 0", "hidden must be >= 1, got 0"),
@@ -288,7 +296,7 @@ def test_out_of_range_config_value_is_one_line_error(command, section, line, mes
                                                      capsys):
     cfg = {"teacher-prep": TEACHER_CFG, "prune": PRUNE_CFG}.get(command, TRANSFER_CFG)
     path = tmp_path / "bad.cfg"
-    path.write_text(f"{cfg}\n[{section}]\n{line}\n")
+    path.write_text(_with_lines(cfg, f"[{section}]\n{line}"))
     # an untrained start checkpoint with SMALL_MODEL's encoder
     model = build_model(ModelConfig(num_layers=2, hidden=16, heads=2, ffn_dim=32, vocab=32,
                                     max_seq=16), seed=0)
@@ -321,7 +329,7 @@ def test_negative_seed_flag_is_one_line_error(workdir, tmp_path, capsys):
 ])
 def test_diverging_run_is_one_line_error(line, where, tmp_path, capsys):
     path = tmp_path / "diverge.cfg"
-    path.write_text(f"{TEACHER_CFG}\n{line}\n")
+    path.write_text(_with_lines(TEACHER_CFG, line))
     out = tmp_path / "x.ckpt"
     rc = main(["teacher-prep", "--config", str(path), "--out", str(out)])
     assert rc == 1
@@ -329,6 +337,26 @@ def test_diverging_run_is_one_line_error(line, where, tmp_path, capsys):
     assert stdout == "" and err.count("\n") == 1
     assert err.startswith(f"error: teacher-prep diverged in {where}: overflow encountered in ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--metrics"])
+def test_missing_output_directory_writes_nothing(flag, workdir, tmp_path, monkeypatch, capsys):
+    """Both output directories are checked before the start checkpoint is
+    read or the stage runs, so a failed run leaves no file behind."""
+    def never(*args, **kwargs):
+        raise AssertionError("called before the output directories were checked")
+    _, *rest = cli.TRAINING_COMMANDS["prune"]
+    monkeypatch.setitem(cli.TRAINING_COMMANDS, "prune", (never, *rest))
+    monkeypatch.setattr(cli, "load_checkpoint", never)
+    outputs = {"--out": tmp_path / "x.ckpt", "--metrics": tmp_path / "m.csv"}
+    missing = tmp_path / "nodir"
+    outputs[flag] = missing / outputs[flag].name
+    rc = main(["prune", "--config", str(workdir / "prune.cfg"),
+               "--teacher", str(workdir / "teacher.ckpt"),
+               *(str(x) for item in outputs.items() for x in item)])
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: {flag}: no directory {str(missing)!r}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_schedule_value_fails_before_checkpoint_read(tmp_path, capsys):

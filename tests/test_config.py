@@ -164,6 +164,19 @@ def test_unknown_key_rejected():
         parse_config_text("[run]\nstge = teacher-prep\n")
 
 
+@pytest.mark.parametrize("text, line, key, section", [
+    ("[run]\nstage = teacher-prep\nsteps = 5\nsteps = 7\n", 4, "steps", "run"),
+    ("[run]\nstage = teacher-prep\n[optimizer]\nlr = 0.1\n[run]\nsteps = 5\n"
+     "[optimizer]\nlr = 0.2\n", 8, "lr", "optimizer"),
+], ids=["one-block", "repeated-header"])
+def test_key_set_twice_rejected(text, line, key, section):
+    """A repeated key is an error naming its second line, not a silent
+    last-value-wins, also when the section's header appears twice."""
+    with pytest.raises(ConfigError, match=rf"^line {line}: key '{key}' is set twice in "
+                                          rf"section \[{section}\]$"):
+        parse_config_text(text)
+
+
 def test_key_outside_section_rejected():
     with pytest.raises(ConfigError, match="line 1"):
         parse_config_text("stage = teacher-prep\n")

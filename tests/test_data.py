@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sparsekit import data
 from sparsekit.data import (CLS, MASK, NUM_RESERVED, PAD, SEP,
                             _rng, build_synthetic_corpus, make_mlm_batch,
                             make_task_dataset, task_minibatch,
@@ -126,10 +127,11 @@ def test_mlm_batch_layout(corpus):
         assert all(0 < j < n - 1 for j in masked)
 
 
-def test_mlm_masking_rates(corpus):
+def test_mlm_masking_rates(corpus, monkeypatch):
+    monkeypatch.setattr(data, "SHORT_PROB", 0.0)
     total, masked, kept_as_mask, kept_same = 0, 0, 0, 0
     for s in range(40):
-        b = make_mlm_batch(corpus, seed=s, batch=16, seq_len=24, short_prob=0.0)
+        b = make_mlm_batch(corpus, seed=s, batch=16, seq_len=24)
         masked_ids = b.input_ids.reshape(-1)[b.positions]
         total += int((b.attention_mask.sum(axis=1) - 2).sum())
         masked += b.positions.size
@@ -140,10 +142,11 @@ def test_mlm_masking_rates(corpus):
     assert kept_same / masked == pytest.approx(0.10, abs=0.03)
 
 
-def test_mlm_short_sequences(corpus):
+def test_mlm_short_sequences(corpus, monkeypatch):
+    monkeypatch.setattr(data, "SHORT_PROB", 1.0)
     lengths = set()
     for s in range(30):
-        b = make_mlm_batch(corpus, seed=s, batch=16, seq_len=16, short_prob=1.0)
+        b = make_mlm_batch(corpus, seed=s, batch=16, seq_len=16)
         lengths.update(b.attention_mask.sum(axis=1).tolist())
     assert min(lengths) >= 4
     assert max(lengths) <= 15

@@ -29,9 +29,9 @@ def _exact_sparse_q8_ckpt():
         if name in model.prunable_parameters():
             flat = vals.reshape(-1)
             flat[: int(0.9 * flat.size)] = 0.0
-            tensors[name] = build_record(name, vals, 1.0 / 127, bitmap=True)
+            tensors[name] = build_record(vals, 1.0 / 127, bitmap=True)
         else:
-            tensors[name] = build_record(name, vals)
+            tensors[name] = build_record(vals)
     return Checkpoint("quantized", model.config, tensors)
 
 
@@ -64,10 +64,10 @@ def test_on_disk_accounting():
 
 
 @pytest.mark.parametrize("make", [
-    lambda v: build_record("pooler.weight", v),
-    lambda v: build_record("pooler.weight", v, bitmap=True),
-    lambda v: build_record("pooler.weight", v, 1.0 / 127),
-    lambda v: build_record("pooler.weight", v, 1.0 / 127, bitmap=True),
+    build_record,
+    lambda v: build_record(v, bitmap=True),
+    lambda v: build_record(v, 1.0 / 127),
+    lambda v: build_record(v, 1.0 / 127, bitmap=True),
 ], ids=["dense", "sparse", "q8", "q8-bitmap"])
 def test_on_disk_bytes_are_the_bytes_serialize_writes(make):
     vals = np.linspace(-1, 1, 64, dtype=np.float32).reshape(8, 8)
@@ -75,10 +75,10 @@ def test_on_disk_bytes_are_the_bytes_serialize_writes(make):
     rec = make(vals)
     # no layers: the pooler weight is the one prunable weight
     cfg = ModelConfig(num_layers=0, hidden=8, heads=1, ffn_dim=8, vocab=16, max_seq=8)
-    assert prunable_parameter_names(cfg) == [rec.name]
-    ckpt = Checkpoint("quantized", cfg, {rec.name: rec})
+    assert prunable_parameter_names(cfg) == ["pooler.weight"]
+    ckpt = Checkpoint("quantized", cfg, {"pooler.weight": rec})
     # u16 name length, the name, u8 ndim, two u32 dims and the u8 storage kind
-    head = 2 + len(rec.name) + 1 + 4 * 2 + 1
+    head = 2 + len("pooler.weight") + 1 + 4 * 2 + 1
     written = len(serialize(ckpt)) - len(serialize(replace(ckpt, tensors={}))) - head
     counted = 4 * rec.size / compression_report(ckpt).on_disk_ratio
     assert counted == pytest.approx(written, abs=1e-9)

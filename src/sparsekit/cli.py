@@ -62,6 +62,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_outputs(outputs) -> None:
+    """Run each (path, write) in order. If one fails, remove the files written
+    before it, and its own if it made a new one, then re-raise: a run that
+    fails to write leaves no output file of its own."""
+    written = []
+    try:
+        for path, write in outputs:
+            new = not os.path.exists(path)
+            write(path)
+            written.append(path)
+    except OSError:
+        if new and os.path.exists(path):
+            written.append(path)
+        for path in written:
+            os.remove(path)
+        raise
+
+
 def _dispatch(args) -> int:
     if args.command in TRAINING_COMMANDS:
         runner, _, start, _ = TRAINING_COMMANDS[args.command]
@@ -73,14 +91,17 @@ def _dispatch(args) -> int:
             folder = os.path.dirname(path or "") or "."
             if not os.path.isdir(folder):
                 raise FileNotFoundError(f"{flag}: no directory {folder!r}")
+            if path and os.path.isdir(path):
+                raise IsADirectoryError(f"{flag}: {path!r} is a directory")
         inputs = [] if start is None else [load_checkpoint(getattr(args, start))]
         kwargs = {}
         if start == "ckpt":
             kwargs["teacher_ckpt"] = load_checkpoint(args.teacher) if args.teacher else None
         ckpt, metrics = runner(cfg, *inputs, **kwargs)
-        save_checkpoint(ckpt, args.out)
+        outputs = [(args.out, lambda path: save_checkpoint(ckpt, path))]
         if args.metrics:
-            metrics.to_csv(args.metrics)
+            outputs.append((args.metrics, metrics.to_csv))
+        _write_outputs(outputs)
         for key, value in sorted(metrics.summary.items()):
             if not isinstance(value, dict):
                 print(f"{key}: {value}")

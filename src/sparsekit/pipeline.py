@@ -21,8 +21,8 @@ from .distill import DistillConfig, combined_loss, kd_loss
 from .model import (ConfigError, EncoderModel, ForwardResult, ModelConfig, build_model,
                     prunable_parameter_names)
 from .optim import Adam
-from .pruning import (lock_pattern, prune_step, restore_pattern, sparsity_report,
-                      target_sparsity)
+from .pruning import (holds_pattern, lock_pattern, prune_step, prunes_at, restore_pattern,
+                      sparsity_report, target_sparsity)
 from .quant import QatContext
 from .schedule import lr_rewound
 from .tensor import SparsekitError
@@ -153,11 +153,9 @@ def _train(cfg: StageConfig, model: EncoderModel,
     forward and the rest of the summary, to which `val_loss` is added.
 
     `_train` alone decides the zero pattern a stage holds. A stage prunes
-    exactly when its config has a pruning section: gradual magnitude pruning
-    on that schedule, under the rewound learning rate, and the masks of its
-    last `prune_step` hold from `end_step` on. Any other stage holds the
-    zeros of its start weights on every step; a start with no zero prunable
-    weight holds no pattern.
+    exactly when its config has a pruning section, by that schedule's rules.
+    Any other stage holds the zeros of its start weights on every step; a
+    start with no zero prunable weight holds no pattern.
 
     A step's tape lives from its forward to its backward: when
     `forward(t + 1)` runs, only the parameters, the masks, Adam's moments
@@ -174,10 +172,9 @@ def _train(cfg: StageConfig, model: EncoderModel,
             for t in range(cfg.steps):
                 where = f"step {t}"
                 lr = lr_rewound(cfg, t)  # the plain schedule without a pruning window or with lrr off
-                # the freeze step always prunes, so the frozen pattern meets the target
-                if sp is not None and sp.start_step <= t <= sp.end_step \
-                        and ((t - sp.start_step) % sp.interval == 0 or t == sp.end_step):
-                    masks = prune_step(model, masks, target_sparsity(sp, t))
+                target = 0.0 if sp is None else target_sparsity(sp, t)
+                if sp is not None and prunes_at(sp, t):
+                    masks = prune_step(model, masks, target)
                 loss, l_pt, l_kd = _step_loss(*forward(t), cfg.distill)
                 # The gradients are cleared here, after this step's forward, not
                 # after the last Adam step: the peak is in backward, where they
@@ -193,12 +190,11 @@ def _train(cfg: StageConfig, model: EncoderModel,
                 if not math.isfinite(step_loss):
                     raise FloatingPointError(f"loss is {step_loss}")
                 opt.step(lr)
-                # pattern frozen after the last mask recomputation; regrowth before it
-                if masks is not None and (sp is None or t >= sp.end_step):
+                if masks is not None and (sp is None or holds_pattern(sp, t)):
                     restore_pattern(model, masks)
                 if t % cfg.log_every == 0:
-                    metrics.rows.append((t, lr, 0.0 if sp is None else target_sparsity(sp, t),
-                                         sparsity_report(model).aggregate, l_pt, l_kd, step_loss))
+                    metrics.rows.append((t, lr, target, sparsity_report(model).aggregate,
+                                         l_pt, l_kd, step_loss))
             where = "validation"
             with T.no_grad():  # the loss is computed lazily, so it is read in here
                 fw, metrics.summary = evaluate(step_loss)

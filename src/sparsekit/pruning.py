@@ -30,14 +30,31 @@ class SparsitySchedule:
 
 
 def target_sparsity(sched: SparsitySchedule, t: int) -> float:
-    """Cubic ramp from initial to final sparsity over [start, policy_end]."""
+    """Cubic ramp from initial to final sparsity over [start, policy_end], final from then on."""
+    if t >= sched.policy_end_step:
+        return sched.final_sparsity
     if t <= sched.start_step:
         return sched.initial_sparsity
-    if t > sched.policy_end_step:
-        return sched.final_sparsity
-    span = sched.policy_end_step - sched.start_step
-    frac = (t - sched.start_step) / span if span > 0 else 1.0
+    frac = (t - sched.start_step) / (sched.policy_end_step - sched.start_step)
     return sched.final_sparsity + (sched.initial_sparsity - sched.final_sparsity) * (1.0 - frac) ** 3
+
+
+def prunes_at(sched: SparsitySchedule, t: int) -> bool:
+    """Step t recomputes masks: every `interval` steps from start_step, and at end_step."""
+    return t == sched.end_step or rewound_step(sched, t) == sched.start_step
+
+
+def holds_pattern(sched: SparsitySchedule, t: int) -> bool:
+    """Masks hold after step t's optimizer step from end_step on; pruned weights regrow before."""
+    return t >= sched.end_step
+
+
+def rewound_step(sched: SparsitySchedule, t: int) -> int:
+    """The step whose base LR a rewound step t takes: the LR restarts every `interval`
+    steps from start_step inside the window [start_step, end_step] alone, so an end_step
+    off that grid prunes without a rewind, and the plain decay resumes at end_step + 1."""
+    inside = sched.start_step <= t <= sched.end_step
+    return sched.start_step + (t - sched.start_step) % sched.interval if inside else t
 
 
 def _magnitude_mask(w: np.ndarray, ratio: float) -> np.ndarray:

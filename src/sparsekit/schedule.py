@@ -1,15 +1,14 @@
 """Linear warmup/decay learning-rate schedule with optional rewinding.
 
-Both schedules read a stage config: `lr`, `warmup_steps` and `steps` set
-the plain schedule. With rewinding on, the decay restarts at its start-step
-value every pruning interval inside the pruning window, producing a
-sawtooth; outside the window the plain schedule applies. The config checks
-every value these functions read when it is built.
+Both schedules read a stage config: `lr`, `warmup_steps` and `steps` set the
+plain one, and `pruning.rewound_step` the sawtooth of the rewound one over the
+pruning window. The config checks every value they read when it is built.
 """
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from .pruning import rewound_step
 from .tensor import ContractError
 
 if TYPE_CHECKING:  # annotations only: the config's own check calls lr_base
@@ -28,9 +27,7 @@ def lr_base(cfg: StageConfig, t: int) -> float:
 
 
 def lr_rewound(cfg: StageConfig, t: int) -> float:
-    """Sawtooth variant: inside the pruning window, with lrr on, the decay
-    restarts every pruning interval. Without either it is `lr_base`."""
-    w = cfg.pruning
-    if not cfg.lrr_enabled or w is None or not w.start_step <= t <= w.end_step:
-        return lr_base(cfg, t)
-    return lr_base(cfg, w.start_step + (t - w.start_step) % w.interval)
+    """Sawtooth variant: with lrr on and a pruning window, `lr_base` at the
+    step that `rewound_step` gives; without either, `lr_base` at t."""
+    rewinds = cfg.lrr_enabled and cfg.pruning is not None
+    return lr_base(cfg, rewound_step(cfg.pruning, t) if rewinds else t)

@@ -11,7 +11,7 @@ from sparsekit.checkpoint import (FormatError, checkpoint_from_model, load_check
 from sparsekit.cli import main
 from sparsekit.config import _SCHEMA, load_config
 from sparsekit.model import ConfigError, DataError, ModelConfig, build_model
-from sparsekit.pipeline import run_chain
+from sparsekit.pipeline import RunMetrics, run_chain
 from sparsekit.tensor import ContractError, ShapeError, SparsekitError, UnsupportedPrimitiveError
 
 SMALL_MODEL = """
@@ -339,24 +339,59 @@ def test_diverging_run_is_one_line_error(line, where, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--out", "--metrics"])
-def test_missing_output_directory_writes_nothing(flag, workdir, tmp_path, monkeypatch, capsys):
-    """Both output directories are checked before the start checkpoint is
-    read or the stage runs, so a failed run leaves no file behind."""
+@pytest.mark.parametrize("flag, is_dir", [("--out", False), ("--metrics", False),
+                                          ("--out", True), ("--metrics", True)],
+                         ids=["--out", "--metrics", "--out-is-a-directory",
+                              "--metrics-is-a-directory"])
+def test_missing_output_directory_writes_nothing(flag, is_dir, workdir, tmp_path, monkeypatch,
+                                                 capsys):
+    """Both output paths are checked before the start checkpoint is read or
+    the stage runs: a missing directory, or a path that is a directory, ends
+    the run before it writes or trains anything."""
     def never(*args, **kwargs):
-        raise AssertionError("called before the output directories were checked")
+        raise AssertionError("called before the output paths were checked")
     _, *rest = cli.TRAINING_COMMANDS["prune"]
     monkeypatch.setitem(cli.TRAINING_COMMANDS, "prune", (never, *rest))
     monkeypatch.setattr(cli, "load_checkpoint", never)
     outputs = {"--out": tmp_path / "x.ckpt", "--metrics": tmp_path / "m.csv"}
-    missing = tmp_path / "nodir"
-    outputs[flag] = missing / outputs[flag].name
+    if is_dir:
+        bad = outputs[flag] = tmp_path / "adir"
+        bad.mkdir()
+        message = f"error: {flag}: {str(bad)!r} is a directory\n"
+    else:
+        bad = tmp_path / "nodir"
+        outputs[flag] = bad / outputs[flag].name
+        message = f"error: {flag}: no directory {str(bad)!r}\n"
     rc = main(["prune", "--config", str(workdir / "prune.cfg"),
                "--teacher", str(workdir / "teacher.ckpt"),
                *(str(x) for item in outputs.items() for x in item)])
     assert rc == 1
-    assert capsys.readouterr() == ("", f"error: {flag}: no directory {str(missing)!r}\n")
-    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr() == ("", message)
+    assert list(tmp_path.iterdir()) == ([bad] if is_dir else [])
+    assert not is_dir or list(bad.iterdir()) == []
+
+
+@pytest.mark.parametrize("failing", ["metrics", "checkpoint-midway"])
+def test_failed_write_leaves_no_file(failing, tmp_path, monkeypatch, capsys):
+    """A CSV write that fails after the checkpoint is written removes the
+    checkpoint, and a checkpoint write that fails midway its partial file,
+    before the one-line error: a failed run leaves no file."""
+    def full_disk(*args):
+        if failing == "checkpoint-midway":
+            with open(args[-1], "wb") as fh:
+                fh.write(b"POFA")
+        raise OSError(28, "No space left on device")
+    if failing == "metrics":
+        monkeypatch.setattr(RunMetrics, "to_csv", full_disk)
+    else:
+        monkeypatch.setattr(cli, "save_checkpoint", full_disk)
+    cfg = tmp_path / "teacher.cfg"
+    cfg.write_text("[run]\nstage = teacher-prep\nsteps = 2\n" + SMALL_MODEL)
+    rc = main(["teacher-prep", "--config", str(cfg), "--out", str(tmp_path / "t.ckpt"),
+               "--metrics", str(tmp_path / "m.csv")])
+    assert rc == 1
+    assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_bad_schedule_value_fails_before_checkpoint_read(tmp_path, capsys):

@@ -107,14 +107,24 @@ def test_student_prune_logs_schedule(stage, sparse_ckpt, teacher_ckpt):
         assert actual <= target + 1e-9
 
 
-@pytest.mark.parametrize("interval", [1, 3, 7])
+@pytest.mark.parametrize("window, interval",
+                         [((0, 15, 20), 1), ((0, 15, 20), 3), ((0, 15, 20), 7),
+                          ((10, 10, 10), 5), ((10, 10, 15), 5)],
+                         ids=["1", "3", "7", "one-shot-10-10-10-5", "one-shot-10-10-15-5"])
 @pytest.mark.parametrize("stage", ["student-prune", "finetune-prune-baseline"])
-def test_pruning_meets_target_for_any_interval(stage, interval, teacher_ckpt):
+def test_pruning_meets_target_for_any_interval(stage, window, interval, teacher_ckpt):
     """The freeze step prunes too, so the frozen pattern holds floor(s*n)
-    zeros also when `interval` does not divide the pruning window."""
+    zeros also when `interval` does not divide the pruning window, and it
+    holds from end_step's own optimizer step on. A zero-length ramp
+    (start_step == policy_end_step) is a one-shot prune: its first prune
+    step already targets the final sparsity."""
+    start, policy_end, end = window
     cfg = default_config(stage, seed=2, steps=30, kd_enabled=stage == "student-prune",
-                         pruning=SparsitySchedule(0.0, 0.9, 0, 15, 20, interval))
-    ckpt, _ = STAGE_RUNNERS[stage](cfg, teacher_ckpt)
+                         pruning=SparsitySchedule(0.0, 0.9, start, policy_end, end, interval))
+    ckpt, metrics = STAGE_RUNNERS[stage](cfg, teacher_ckpt)
+    step, _, target = metrics.rows[policy_end][:3]
+    assert (step, target) == (policy_end, 0.9)
+    assert metrics.rows[end][3] == metrics.summary["final_sparsity"]
     for name in prunable_parameter_names(ckpt.model_config):
         w = ckpt.tensors[name].to_dense()
         assert int((w == 0).sum()) == int(np.floor(0.9 * w.size)), name

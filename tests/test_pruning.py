@@ -1,11 +1,13 @@
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sparsekit.model import ModelConfig, build_model
-from sparsekit.pruning import (SparsitySchedule, _magnitude_mask, lock_pattern,
-                               prune_step, restore_pattern, sparsity_report, target_sparsity)
+from sparsekit.pruning import (SparsitySchedule, _magnitude_mask, holds_pattern, lock_pattern,
+                               prune_step, prunes_at, restore_pattern, rewound_step,
+                               sparsity_report, target_sparsity)
 from sparsekit.tensor import ContractError, Tensor
 
 
@@ -23,6 +25,33 @@ def test_target_sparsity_boundaries():
     assert target_sparsity(SCHED, 0) == 0.0
     assert target_sparsity(SCHED, 100) == 0.9
     assert target_sparsity(SCHED, 1000) == 0.9
+
+
+def test_zero_length_ramp_is_one_shot():
+    """start == policy_end: the final target from the start step on."""
+    for start in (0, 10):
+        sched = SparsitySchedule(0.2, 0.9, start, start, start + 5, 5)
+        assert target_sparsity(sched, start) == 0.9
+        assert target_sparsity(sched, start + 5) == 0.9
+        if start:
+            assert target_sparsity(sched, start - 1) == 0.2
+
+
+def test_window_rules_match_their_earlier_inline_form():
+    """The window rules as `_train` and `lr_rewound` wrote them inline, before
+    they moved here, are the oracle: every window with start 0-3, gaps of 0-4
+    to policy_end and to end, interval 1-5, so ends on and off the interval
+    grid, at every step up to two past the end."""
+    for start, ramp, hold, interval in itertools.product(range(4), range(5), range(5),
+                                                          range(1, 6)):
+        sp = SparsitySchedule(0.0, 0.9, start, start + ramp, start + ramp + hold, interval)
+        for t in range(sp.end_step + 3):
+            inside = sp.start_step <= t <= sp.end_step
+            prunes = inside and ((t - sp.start_step) % sp.interval == 0 or t == sp.end_step)
+            lr_step = sp.start_step + (t - sp.start_step) % sp.interval if inside else t
+            assert prunes_at(sp, t) == prunes, (sp, t)
+            assert holds_pattern(sp, t) == (t >= sp.end_step), (sp, t)
+            assert rewound_step(sp, t) == lr_step, (sp, t)
 
 
 def test_target_sparsity_midpoint():

@@ -1,14 +1,13 @@
 """Run seeded mutants of sparsekit against the tier-1 suite.
 
-    python3 tools/mutants.py [NAME ...]
+    python3 tools/mutants.py
 
 Run from anywhere inside a sparsekit checkout. A mutant is an exact-string
 patch of one file under `src/sparsekit/`, which must match exactly once,
-plus the IDs of the tests expected to kill it. For each mutant (all of them,
-or those named), the tool copies `src/`, `tests/` and `pyproject.toml` into a
-temporary directory, applies the patch there and runs the tier-1 suite on
-the copy, two mutants at a time with BLAS on one thread. Nothing is written
-into the checkout.
+plus the IDs of the tests expected to kill it. For each mutant the tool
+copies `src/`, `tests/` and `pyproject.toml` into a temporary directory,
+applies the patch there and runs the tier-1 suite on the copy, two mutants
+at a time with BLAS on one thread. Nothing is written into the checkout.
 
 Per mutant it prints the tests that failed, with the byte pins (the golden
 tests, such as the one that holds `GOLDEN_CHAIN`, and every `*_bytes_*`
@@ -192,20 +191,15 @@ def report(mutant: Mutant, failed: list) -> bool:
     return not missed and bool(others)
 
 
-def main(argv) -> int:
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
-    for m in chosen:  # every patch is checked before any suite runs
+def main() -> int:
+    for m in MUTANTS:  # every patch is checked before any suite runs
         patched(m, (ROOT / "src" / "sparsekit" / m.path).read_text(encoding="utf-8"))
     began = time.perf_counter()
-    results = run(chosen)
-    ok = [report(m, results[m.name]) for m in chosen]
+    results = run(MUTANTS)
+    ok = [report(m, results[m.name]) for m in MUTANTS]
     print(f"\n{sum(ok)} of {len(ok)} mutants hold, in {time.perf_counter() - began:.0f} s")
     return 0 if all(ok) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
